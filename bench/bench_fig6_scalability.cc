@@ -17,9 +17,8 @@
 // the batched bitsliced data plane, and the four transfer role costs with
 // the seed pure-scheme functions vs the batched wire-level engine
 // (fixed-base key tables, batch-affine encryption, cached noise points) —
-// and A/B-runs the real validation points with both schedules, so every
-// speedup claim carries its own baseline measured in the same run and
-// build. The projected batched rows also carry the engine's once-per-run
+// so every projected speedup claim carries its own baseline measured in
+// the same run and build. The projected batched rows also carry the engine's once-per-run
 // certificate-table build charge, so the speedup is honest about setup.
 // Scheduling assumptions differ by design: the seed baseline keeps the
 // paper's conservative no-overlap serialization, while the batched rows
@@ -372,62 +371,24 @@ void Run() {
   std::printf("# latency, not bandwidth, dominates a WAN deployment; the run stays in the\n"
               "# hours-not-years regime the paper's conclusion needs\n");
 
-  // Validation points: projection vs a real end-to-end run, executed with
-  // both data planes. Released figures and per-node traffic must agree
-  // bit-for-bit (engine_test pins this); wall time is the A/B quantity.
+  // Validation points: projection vs a real end-to-end run.
   std::printf("\n# validation runs (D and N reduced to keep the default bench fast)\n");
   std::vector<int> validation_ns = FullScale() ? std::vector<int>{20, 100}
                                                : std::vector<int>{20};
   for (int n : validation_ns) {
     int degree = FullScale() ? 10 : 6;
-    engine::RunSpec spec = ValidationSpec(n, degree, block_size);
-
-    // Baseline = the full seed schedule: both batched planes off.
-    spec.mpc_batching = false;
-    spec.transfer_batching = false;
-    engine::RunReport baseline = engine::Engine(spec).Run();
-    spec.mpc_batching = true;
-    spec.transfer_batching = true;
-    engine::RunReport report = engine::Engine(spec).Run();
-    // The batched planes must release the same figure over the same wire
-    // bytes — speedup claims only count if the protocol is unchanged.
-    DSTRESS_CHECK(report.released == baseline.released);
-    DSTRESS_CHECK(report.metrics.total_bytes == baseline.metrics.total_bytes);
-    DSTRESS_CHECK(report.metrics.avg_bytes_per_node == baseline.metrics.avg_bytes_per_node);
+    engine::RunReport report = engine::Engine(ValidationSpec(n, degree, block_size)).Run();
 
     costmodel::Projection proj = Project(costs, ParamsFor(n, degree, block_size));
     std::printf(
-        "N=%-5d D=%-3d measured: %6.1f s end-to-end (seed %6.1f s), MPC compute %5.2f s "
-        "(seed %5.2f s, %.1fx), %6.2f MB/node | projected: %6.1f s\n",
-        n, degree, report.metrics.total_seconds, baseline.metrics.total_seconds,
-        report.metrics.compute.seconds, baseline.metrics.compute.seconds,
-        baseline.metrics.compute.seconds / std::max(report.metrics.compute.seconds, 1e-9),
+        "N=%-5d D=%-3d measured: %6.1f s end-to-end, MPC compute %5.2f s, %6.2f MB/node | "
+        "projected: %6.1f s\n",
+        n, degree, report.metrics.total_seconds, report.metrics.compute.seconds,
         report.metrics.avg_bytes_per_node / 1e6, proj.total_seconds);
-    json.push_back(JsonEntry{n, degree, "secure", report.metrics.total_seconds * 1e3,
-                             baseline.metrics.total_seconds * 1e3,
+    json.push_back(JsonEntry{n, degree, "secure", report.metrics.total_seconds * 1e3, -1,
                              report.metrics.avg_bytes_per_node});
-    json.push_back(JsonEntry{n, degree, "secure-mpc", report.metrics.compute.seconds * 1e3,
-                             baseline.metrics.compute.seconds * 1e3,
+    json.push_back(JsonEntry{n, degree, "secure-mpc", report.metrics.compute.seconds * 1e3, -1,
                              report.metrics.avg_bytes_per_node});
-
-    // Batched-phase scheduling A/B (RunSpec::mpc_per_node_schedule): the
-    // same batched data plane scheduled as one lockstep task per node (the
-    // OT path's shape, here with dealer triples) vs one whole-phase
-    // lockstep call. Results and wire bytes must be identical — this row
-    // measures pure core::Runtime::RunBatchedPhase scheduling, multi-thread
-    // task dispatch against a single bitsliced pass.
-    spec.mpc_per_node_schedule = true;
-    engine::RunReport per_node = engine::Engine(spec).Run();
-    spec.mpc_per_node_schedule = false;
-    DSTRESS_CHECK(per_node.released == report.released);
-    DSTRESS_CHECK(per_node.metrics.total_bytes == report.metrics.total_bytes);
-    std::printf(
-        "N=%-5d D=%-3d mpc sched: per-node %5.2f s vs lockstep %5.2f s compute "
-        "(identical figure and wire bytes)\n",
-        n, degree, per_node.metrics.compute.seconds, report.metrics.compute.seconds);
-    json.push_back(JsonEntry{n, degree, "secure-mpc-sched", per_node.metrics.compute.seconds * 1e3,
-                             report.metrics.compute.seconds * 1e3,
-                             per_node.metrics.avg_bytes_per_node});
 
     // HA overhead at the acceptance point (N=20, docs/ha.md): the same
     // run over real sockets, plain vs HA-enabled (heartbeats + sequence
@@ -467,9 +428,8 @@ void Run() {
       json.push_back(ha_row);
     }
   }
-  std::printf("# note: end-to-end time on this container is dominated by the EC transfer\n"
-              "# crypto, so the 'secure' rows' speedup tracks the batched transfer engine;\n"
-              "# the MPC rows isolate the packed evaluation path.\n");
+  std::printf("# note: end-to-end time on this machine is dominated by the EC transfer\n"
+              "# crypto; the MPC rows isolate the packed evaluation path.\n");
 
   // Secure OT offline phase: the node-pair triple factory (ot_batching on,
   // the default for `triples ot` runs) against the per-role IKNP baseline,
@@ -526,13 +486,10 @@ void Run() {
   // large-N sweep the secure mode can only model — same circuits, same
   // transport and scheduler, word-parallel over the same EvalPlan. Since
   // the flat-arena graph plane (src/graphplane) the sweep reaches N=1M;
-  // smaller points A/B the arena against the retired container plane
-  // (wall_ms_baseline), whose figures and wire bytes must agree
-  // bit-for-bit, and tools/check_bench.py --cleartext-max-wall-ms pins the
-  // N=1M row's wall clock.
+  // tools/check_bench.py --cleartext-max-wall-ms pins the N=1M row's wall
+  // clock.
   std::printf("\n# cleartext fast-path sweep (real runs through engine::Engine)\n");
-  std::printf("%8s %6s %12s %12s %18s\n", "N", "I", "arena(s)", "legacy(s)",
-              "traffic/node(kB)");
+  std::printf("%8s %6s %12s %18s\n", "N", "I", "arena(s)", "traffic/node(kB)");
   std::vector<int> sweep_ns = FullScale()
                                   ? std::vector<int>{2000, 10000, 20000, 100000, 1000000}
                                   : std::vector<int>{2000, 10000, 100000, 1000000};
@@ -549,20 +506,6 @@ void Run() {
     spec.shock.shocked_banks = {0, 1, 2};
     spec.seed = 4;
     spec.mode = engine::ExecutionMode::kCleartextFast;
-
-    // Container-plane baseline, A/B'd at the sizes it can still sustain;
-    // the arena row must release the identical figure over identical wire
-    // bytes (the graphplane_test corpus pins the full surface).
-    double legacy_ms = -1;
-    if (n <= 20000) {
-      spec.cleartext_arena = false;
-      engine::RunReport legacy = engine::Engine(spec).Run();
-      spec.cleartext_arena = true;
-      engine::RunReport arena = engine::Engine(spec).Run();
-      DSTRESS_CHECK(arena.released == legacy.released);
-      DSTRESS_CHECK(arena.metrics.total_bytes == legacy.metrics.total_bytes);
-      legacy_ms = legacy.metrics.total_seconds * 1e3;
-    }
 
     engine::Engine eng(spec);
     engine::RunReport report = eng.Run();
@@ -581,10 +524,9 @@ void Run() {
                   static_cast<unsigned long long>(calls));
       DSTRESS_CHECK(bytes < 64ull << 20);
     }
-    std::printf("%8d %6d %12.2f %12.2f %18.2f\n", n, report.iterations,
-                report.metrics.total_seconds, legacy_ms < 0 ? 0.0 : legacy_ms / 1e3,
+    std::printf("%8d %6d %12.2f %18.2f\n", n, report.iterations, report.metrics.total_seconds,
                 report.metrics.avg_bytes_per_node / 1e3);
-    json.push_back(JsonEntry{n, 8, "cleartext", report.metrics.total_seconds * 1e3, legacy_ms,
+    json.push_back(JsonEntry{n, 8, "cleartext", report.metrics.total_seconds * 1e3, -1,
                              report.metrics.avg_bytes_per_node});
   }
   std::printf("# the sweep grid that took the paper a cost model now runs for real,\n"

@@ -1,12 +1,12 @@
 // Precompiled evaluation plan for a boolean circuit.
 //
 // Both evaluation engines — GMW over XOR shares (src/mpc/gmw.h) and the
-// cleartext fast path (src/engine/cleartext_backend.cc) — walk a circuit in
-// the same layered order: the AND gates of communication round r, then the
-// free gates (INPUT/CONST/XOR/NOT) that become computable at round r. The
-// seed implementation re-derived that grouping on every Eval call; an
-// EvalPlan computes it once per circuit and is reused across rounds,
-// instances and runs.
+// cleartext fast path (src/engine/arena_cleartext_backend.cc) — walk a
+// circuit in the same layered order: the AND gates of communication round
+// r, then the free gates (INPUT/CONST/XOR/NOT) that become computable at
+// round r. The seed implementation re-derived that grouping on every Eval
+// call; an EvalPlan computes it once per circuit and is reused across
+// rounds, instances and runs.
 //
 // The plan also carries the word-parallel ("bitsliced") cleartext
 // evaluator: W independent instances are packed instance-minor into 64-bit

@@ -15,9 +15,9 @@ namespace dstress::core {
 
 namespace {
 
-// Session-id namespaces (top 4 bits of a 64-bit id select the phase).
+// Session-id namespaces (top 4 bits of a 64-bit id select the phase; 2 is
+// unused since computation steps run on kBatchSession).
 constexpr net::SessionId kInitSession = 1ULL << 60;
-constexpr net::SessionId kComputeSession = 2ULL << 60;
 constexpr net::SessionId kTransferSession = 3ULL << 60;
 constexpr net::SessionId kAggGatherSession = 4ULL << 60;
 constexpr net::SessionId kAggEvalSession = 5ULL << 60;
@@ -49,6 +49,34 @@ mpc::BitVector UnpackBits(const Bytes& raw, size_t bits) {
     out[i] = (raw[i / 8] >> (i % 8)) & 1;
   }
   return out;
+}
+
+// The (group, member) roles of `groups` blocks of k1 members, group-major:
+// the role order every batched MPC phase schedules in.
+std::vector<std::pair<int, int>> BlockRoles(int groups, int k1) {
+  std::vector<std::pair<int, int>> roles;
+  roles.reserve(static_cast<size_t>(groups) * k1);
+  for (int g = 0; g < groups; g++) {
+    for (int m = 0; m < k1; m++) {
+      roles.emplace_back(g, m);
+    }
+  }
+  return roles;
+}
+
+// Member m's batched instance of `plan` among `parties`, with the plan's
+// triples drawn from `source` now; the caller fills in input_shares.
+mpc::BatchInstance NewInstance(const circuit::EvalPlan& plan, const std::vector<int>& parties,
+                               int m, mpc::TripleSource* source, uint64_t order_key) {
+  mpc::BatchInstance item;
+  item.plan = &plan;
+  item.parties = parties;
+  item.my_index = m;
+  if (plan.stats().num_and > 0) {
+    item.triples = source->Generate(plan.stats().num_and);
+  }
+  item.order_key = order_key;
+  return item;
 }
 
 int SlotOf(const std::vector<int>& neighbors, int target) {
@@ -207,7 +235,7 @@ void Runtime::EnqueueComputeWave(int num_scenarios) {
     d.tag = static_cast<uint64_t>(v);
     d.parties = setup_.blocks[v];
     // Ensembles draw num_and once per scenario from the shared (v, m)
-    // source (ComputePhaseEnsemble), so one wave covers all lanes.
+    // source (ComputePhase), so one wave covers all lanes.
     d.count = num_and * static_cast<size_t>(num_scenarios);
     demands.push_back(std::move(d));
   }
@@ -371,35 +399,46 @@ int Runtime::RestoreCheckpoint() {
   return snapshot.next_iteration;
 }
 
-void Runtime::InitPhase(const std::vector<mpc::BitVector>& initial_states) {
-  int n = graph_.num_vertices();
-  int k1 = config_.block_size;
-  int d = program_.degree_bound;
+void Runtime::InitPhase(const std::vector<std::vector<mpc::BitVector>>& initial_states) {
+  const int n = graph_.num_vertices();
+  const int k1 = config_.block_size;
+  const int d = program_.degree_bound;
+  const int num_scenarios = static_cast<int>(initial_states.size());
+  const size_t total = static_cast<size_t>(num_scenarios) * n;
 
-  state_shares_.assign(n, std::vector<mpc::BitVector>(k1));
+  state_shares_.assign(total, std::vector<mpc::BitVector>(k1));
   inmsg_shares_.assign(
-      n, std::vector<std::vector<mpc::BitVector>>(
-             d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
+      total, std::vector<std::vector<mpc::BitVector>>(
+                 d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
   outmsg_shares_.assign(
-      n, std::vector<std::vector<mpc::BitVector>>(
-             d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
+      total, std::vector<std::vector<mpc::BitVector>>(
+                 d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
 
   // Each node splits its initial state and distributes the shares to its
   // block. Sends never block, so a simple send-all / receive-all sequence
   // is deadlock-free and still meters every byte.
-  for (int v = 0; v < n; v++) {
-    DSTRESS_CHECK(static_cast<int>(initial_states[v].size()) == program_.state_bits);
-    auto prg = RolePrg(0x11, static_cast<uint64_t>(v));
-    auto shares = mpc::ShareBits(initial_states[v], k1, prg);
-    for (int m = 0; m < k1; m++) {
-      net_->Send(v, setup_.blocks[v][m], PackBits(shares[m]),
-                 kInitSession | static_cast<uint64_t>(v));
+  for (int s = 0; s < num_scenarios; s++) {
+    const uint64_t salt = static_cast<uint64_t>(s) << 40;
+    DSTRESS_CHECK(static_cast<int>(initial_states[s].size()) == n);
+    for (int v = 0; v < n; v++) {
+      DSTRESS_CHECK(static_cast<int>(initial_states[s][v].size()) == program_.state_bits);
+      auto prg = RolePrg(0x11, static_cast<uint64_t>(s) * n + static_cast<uint64_t>(v));
+      auto shares = mpc::ShareBits(initial_states[s][v], k1, prg);
+      for (int m = 0; m < k1; m++) {
+        net_->Send(v, setup_.blocks[v][m], PackBits(shares[m]),
+                   kInitSession | salt | static_cast<uint64_t>(v));
+      }
     }
   }
-  for (int v = 0; v < n; v++) {
-    for (int m = 0; m < k1; m++) {
-      Bytes raw = net_->Recv(setup_.blocks[v][m], v, kInitSession | static_cast<uint64_t>(v));
-      state_shares_[v][m] = UnpackBits(raw, static_cast<size_t>(program_.state_bits));
+  for (int s = 0; s < num_scenarios; s++) {
+    const uint64_t salt = static_cast<uint64_t>(s) << 40;
+    for (int v = 0; v < n; v++) {
+      for (int m = 0; m < k1; m++) {
+        Bytes raw =
+            net_->Recv(setup_.blocks[v][m], v, kInitSession | salt | static_cast<uint64_t>(v));
+        state_shares_[static_cast<size_t>(s) * n + v][m] =
+            UnpackBits(raw, static_cast<size_t>(program_.state_bits));
+      }
     }
   }
 }
@@ -435,35 +474,6 @@ void Runtime::AccumulateBatchStats(const mpc::BatchStats& stats) {
   }
 }
 
-void Runtime::ComputePhase() {
-  if (config_.batch_mpc) {
-    ComputePhaseBatched();
-  } else {
-    ComputePhaseUnbatched();
-  }
-}
-
-// Seed schedule: one pool task and one GmwParty per (vertex, member) role.
-void Runtime::ComputePhaseUnbatched() {
-  int n = graph_.num_vertices();
-  int k1 = config_.block_size;
-
-  RunGrouped(static_cast<size_t>(n), static_cast<size_t>(k1), [&](size_t vg, size_t ms) {
-    int v = static_cast<int>(vg);
-    int m = static_cast<int>(ms);
-    net::SessionId session = kComputeSession | static_cast<uint64_t>(v);
-
-    mpc::TripleSource* triples = TripleSourceFor(static_cast<uint64_t>(v), m, setup_.blocks[v]);
-    mpc::GmwParty party(net_.get(), setup_.blocks[v], m, triples, session);
-    mpc::PackedShareMatrix input(update_plan_.num_inputs(), 1);
-    input.SetInstance(0, AssembleUpdateInput(v, m));
-    mpc::BatchStats stats;
-    mpc::BitVector output = party.EvalBatch(update_plan_, input, &stats).Instance(0);
-    AccumulateBatchStats(stats);
-    ScatterUpdateOutput(v, m, output);
-  });
-}
-
 void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
                               const std::function<int(int, int)>& node_of,
                               const std::function<mpc::BatchInstance(int, int)>& make_item,
@@ -477,7 +487,7 @@ void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
     }
   };
   const bool interactive_triples = config_.use_ot_triples && !config_.ot_batching;
-  if (!interactive_triples && !config_.batch_mpc_per_node) {
+  if (!interactive_triples) {
     // Single-scheduler mode: the triple source needs no communication
     // (dealer tapes, or factory views whose OT traffic already ran in the
     // offline wave), so the whole phase is one lockstep call on this
@@ -496,13 +506,11 @@ void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
     }
     return;
   }
-  // Per-node schedule (always for OT triples; opt-in for dealer triples
-  // via batch_mpc_per_node): one lockstep task per executing node. Triples
-  // are prefetched inside make_item in role order — ascending by group at
-  // every node — so the collective pairwise OT sessions run in a globally
-  // consistent order and the smallest unfinished group can always progress.
-  // Dealer sources are per-(node, session) streams behind a mutex, so the
-  // same prefetch order holds and the schedules stay traffic-identical.
+  // Per-node schedule for interactive (per-role OT) triples: one lockstep
+  // task per executing node. Triples are prefetched inside make_item in
+  // role order — ascending by group at every node — so the collective
+  // pairwise OT sessions run in a globally consistent order and the
+  // smallest unfinished group can always progress.
   std::map<int, std::vector<size_t>> by_node;
   for (size_t i = 0; i < roles.size(); i++) {
     by_node[node_of(roles[i].first, roles[i].second)].push_back(i);
@@ -529,39 +537,27 @@ void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
   });
 }
 
-// Batched schedule: the step's (vertex, member) roles advance through the
-// update circuit's AND layers in lockstep over bitsliced shares
-// (batch_eval.h) instead of one task + one GmwParty per role. Wire traffic
-// is bit-identical to the unbatched schedule — same per-instance payloads,
-// rounds still = AND depth — but the per-layer synchronization is paid once
-// per scheduler instead of once per role, and the free gates of up to 64
-// roles cost one word op.
-void Runtime::ComputePhaseBatched() {
-  int n = graph_.num_vertices();
-  int k1 = config_.block_size;
-  const size_t num_and = update_circuit_.stats().num_and;
-
-  std::vector<std::pair<int, int>> roles;
-  roles.reserve(static_cast<size_t>(n) * k1);
-  for (int v = 0; v < n; v++) {
-    for (int m = 0; m < k1; m++) {
-      roles.emplace_back(v, m);
-    }
-  }
+// The step's (lane, member) roles advance through the update circuit's
+// AND layers in lockstep over bitsliced shares (batch_eval.h): each
+// instance sends exactly what a lone GmwParty would — rounds still = AND
+// depth — but the per-layer synchronization is paid once per scheduler
+// instead of once per role, and the free gates of up to 64 roles cost one
+// word op.
+void Runtime::ComputePhase(int num_scenarios) {
+  const int n = graph_.num_vertices();
+  const std::vector<std::pair<int, int>> roles = BlockRoles(num_scenarios * n, config_.block_size);
   RunBatchedPhase(
-      roles, [&](int v, int m) { return setup_.blocks[v][m]; },
-      [&](int v, int m) {
-        mpc::TripleSource* source =
-            TripleSourceFor(static_cast<uint64_t>(v), m, setup_.blocks[v]);
-        mpc::BatchInstance item;
-        item.plan = &update_plan_;
-        item.parties = setup_.blocks[v];
-        item.my_index = m;
-        if (num_and > 0) {
-          item.triples = source->Generate(num_and);
-        }
-        item.input_shares = AssembleUpdateInput(v, m);
-        item.order_key = static_cast<uint64_t>(v);
+      roles, [&](int g, int m) { return setup_.blocks[g % n][m]; },
+      [&](int g, int m) {
+        // Triple sources are shared per (vertex, member) across scenarios —
+        // consumed in ascending scenario order at every member, and triple
+        // randomness cancels out of opened results anyway.
+        const int v = g % n;
+        mpc::BatchInstance item =
+            NewInstance(update_plan_, setup_.blocks[v], m,
+                        TripleSourceFor(static_cast<uint64_t>(v), m, setup_.blocks[v]),
+                        static_cast<uint64_t>(g));
+        item.input_shares = AssembleUpdateInput(g, m);
         return item;
       },
       [&](size_t i, const mpc::BitVector& output) {
@@ -570,21 +566,13 @@ void Runtime::ComputePhaseBatched() {
       /*count_rounds=*/true);
 }
 
-void Runtime::CommunicatePhase() {
-  if (config_.batch_transfer) {
-    CommunicatePhaseBatched(/*scenario=*/0);
-  } else {
-    CommunicatePhaseUnbatched();
-  }
-}
-
-// Batched schedule: the step's per-edge role work runs through the wire-
-// level batch engine (transfer/batch_engine.h) in four barrier-separated
-// sub-phases — senders, source endpoints, dest endpoints, receivers — so
-// every Recv is satisfied by a Send from an earlier sub-phase and no task
-// ever parks on a peer. Messages, sessions and byte counts are identical to
-// the unbatched schedule; only the CPU cost per role changes.
-void Runtime::CommunicatePhaseBatched(int scenario) {
+// The step's per-edge role work runs through the wire-level batch engine
+// (transfer/batch_engine.h) in four barrier-separated sub-phases —
+// senders, source endpoints, dest endpoints, receivers — so every Recv is
+// satisfied by a Send from an earlier sub-phase and no task ever parks on
+// a peer. Messages, sessions and byte counts are those of the per-role
+// §3.5 protocol (transfer::Run*Member / Run*Endpoint).
+void Runtime::CommunicatePhase(int scenario) {
   int k1 = config_.block_size;
   const int n = graph_.num_vertices();
   // Ensemble lane (scenario > 0): shares live at flat index s*n + v, and
@@ -674,45 +662,6 @@ void Runtime::CommunicatePhaseBatched(int scenario) {
     DSTRESS_CHECK(ok);
     for (int y = 0; y < k1; y++) {
       inmsg_shares_[vertex_offset + j][in_slot][y] = std::move(shares[y]);
-    }
-  });
-}
-
-void Runtime::CommunicatePhaseUnbatched() {
-  int k1 = config_.block_size;
-  size_t roles_per_edge = static_cast<size_t>(2 * k1 + 2);
-
-  RunGrouped(edges_.size(), roles_per_edge, [&](size_t e, size_t role_s) {
-    int role = static_cast<int>(role_s);
-    auto [i, j] = edges_[e];
-    net::SessionId session = kTransferSession | e;
-    int out_slot = SlotOf(graph_.OutNeighbors(i), j);
-    int in_slot = SlotOf(graph_.InNeighbors(j), i);
-
-    if (role < k1) {
-      // Sender member `role` of B_i.
-      int member_node = setup_.blocks[i][role];
-      auto prg = RolePrg(0x22, (e << 8) | static_cast<uint64_t>(role));
-      transfer::RunSenderMember(net_.get(), member_node, i, session,
-                                outmsg_shares_[i][out_slot][role],
-                                setup_.edge_certificates.at({i, j}), prg);
-    } else if (role == k1) {
-      // Node i: aggregation + masking noise.
-      std::vector<int> member_nodes = setup_.blocks[i];
-      auto prg = RolePrg(0x33, e);
-      transfer::RunSourceEndpoint(net_.get(), i, member_nodes, j, session, transfer_params_, prg);
-    } else if (role == k1 + 1) {
-      // Node j: ephemeral adjustment + fan-out.
-      transfer::RunDestEndpoint(net_.get(), j, i, setup_.blocks[j], session,
-                                setup_.neighbor_keys[j][in_slot], transfer_params_);
-    } else {
-      // Receiver member of B_j.
-      int y = role - (k1 + 2);
-      int member_node = setup_.blocks[j][y];
-      inmsg_shares_[j][in_slot][y] =
-          transfer::RunReceiverMember(net_.get(), member_node, j, session,
-                                      setup_.node_keys[member_node], *dlog_table_,
-                                      transfer_params_);
     }
   });
 }
@@ -817,53 +766,23 @@ int64_t Runtime::AggregateTree() {
     return input;
   };
   std::vector<std::vector<mpc::BitVector>> shares(num_groups, std::vector<mpc::BitVector>(k1));
-  if (config_.batch_mpc) {
-    // All leaf roles advance in lockstep (same wire traffic as the
-    // per-role schedule; see ComputePhaseBatched).
-    std::vector<std::pair<int, int>> roles;
-    roles.reserve(static_cast<size_t>(num_groups) * k1);
-    for (int g = 0; g < num_groups; g++) {
-      for (int m = 0; m < k1; m++) {
-        roles.emplace_back(g, m);
-      }
-    }
-    RunBatchedPhase(
-        roles, [&](int g, int m) { return blocks[g][m]; },
-        [&](int g, int m) {
-          int size = std::min(n, g * fanout + fanout) - g * fanout;
-          const circuit::EvalPlan& plan = leaf_plan_for(size);
-          mpc::TripleSource* source =
-              TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m, blocks[g]);
-          mpc::BatchInstance item;
-          item.plan = &plan;
-          item.parties = blocks[g];
-          item.my_index = m;
-          if (plan.stats().num_and > 0) {
-            item.triples = source->Generate(plan.stats().num_and);
-          }
-          item.input_shares = leaf_input(g, m);
-          item.order_key = static_cast<uint64_t>(g);
-          return item;
-        },
-        [&](size_t i, const mpc::BitVector& output) {
-          shares[roles[i].first][roles[i].second] = output;
-        },
-        /*count_rounds=*/false);
-  } else {
-    RunGrouped(static_cast<size_t>(num_groups), static_cast<size_t>(k1),
-               [&](size_t gg, size_t mm) {
-                 int g = static_cast<int>(gg);
-                 int m = static_cast<int>(mm);
-                 int size = std::min(n, g * fanout + fanout) - g * fanout;
-                 const circuit::EvalPlan& plan = leaf_plan_for(size);
-                 net::SessionId session = kAggEvalSession | static_cast<uint64_t>(g);
-                 mpc::TripleSource* triples =
-                     TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m, blocks[g]);
-                 mpc::GmwParty party(net_.get(), blocks[g], m, triples, session);
-                 shares[g][m] = party.Eval(plan, leaf_input(g, m));
-                 triples_consumed_.fetch_add(plan.stats().num_and, std::memory_order_relaxed);
-               });
-  }
+  // All leaf roles advance in lockstep (see ComputePhase).
+  const std::vector<std::pair<int, int>> leaf_roles = BlockRoles(num_groups, k1);
+  RunBatchedPhase(
+      leaf_roles, [&](int g, int m) { return blocks[g][m]; },
+      [&](int g, int m) {
+        int size = std::min(n, g * fanout + fanout) - g * fanout;
+        mpc::BatchInstance item = NewInstance(
+            leaf_plan_for(size), blocks[g], m,
+            TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m, blocks[g]),
+            static_cast<uint64_t>(g));
+        item.input_shares = leaf_input(g, m);
+        return item;
+      },
+      [&](size_t i, const mpc::BitVector& output) {
+        shares[leaf_roles[i].first][leaf_roles[i].second] = output;
+      },
+      /*count_rounds=*/false);
 
   // Intermediate combine levels (without noise) until one root group of at
   // most `fanout` partials remains — the general tree of §3.6. For the
@@ -911,53 +830,24 @@ int64_t Runtime::AggregateTree() {
     };
     std::vector<std::vector<mpc::BitVector>> next_shares(next_groups,
                                                          std::vector<mpc::BitVector>(k1));
-    if (config_.batch_mpc) {
-      std::vector<std::pair<int, int>> roles;
-      roles.reserve(static_cast<size_t>(next_groups) * k1);
-      for (int g = 0; g < next_groups; g++) {
-        for (int m = 0; m < k1; m++) {
-          roles.emplace_back(g, m);
-        }
-      }
-      RunBatchedPhase(
-          roles, [&](int g, int m) { return next_blocks[g][m]; },
-          [&](int g, int m) {
-            int size = std::min(p, g * fanout + fanout) - g * fanout;
-            const circuit::EvalPlan& plan = combine_plan_for(size);
-            mpc::TripleSource* source = TripleSourceFor(
-                kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m, next_blocks[g]);
-            mpc::BatchInstance item;
-            item.plan = &plan;
-            item.parties = next_blocks[g];
-            item.my_index = m;
-            if (plan.stats().num_and > 0) {
-              item.triples = source->Generate(plan.stats().num_and);
-            }
-            item.input_shares = combine_input(g, m, next_blocks);
-            item.order_key = static_cast<uint64_t>(g);
-            return item;
-          },
-          [&](size_t i, const mpc::BitVector& output) {
-            next_shares[roles[i].first][roles[i].second] = output;
-          },
-          /*count_rounds=*/false);
-    } else {
-      RunGrouped(static_cast<size_t>(next_groups), static_cast<size_t>(k1),
-                 [&](size_t gg, size_t mm) {
-                   int g = static_cast<int>(gg);
-                   int m = static_cast<int>(mm);
-                   int size = std::min(p, g * fanout + fanout) - g * fanout;
-                   const circuit::EvalPlan& plan = combine_plan_for(size);
-                   net::SessionId session =
-                       kAggEvalSession | (level << 32) | static_cast<uint64_t>(g);
-                   mpc::TripleSource* triples = TripleSourceFor(
-                       kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m,
-                       next_blocks[g]);
-                   mpc::GmwParty party(net_.get(), next_blocks[g], m, triples, session);
-                   next_shares[g][m] = party.Eval(plan, combine_input(g, m, next_blocks));
-                   triples_consumed_.fetch_add(plan.stats().num_and, std::memory_order_relaxed);
-                 });
-    }
+    const std::vector<std::pair<int, int>> roles = BlockRoles(next_groups, k1);
+    RunBatchedPhase(
+        roles, [&](int g, int m) { return next_blocks[g][m]; },
+        [&](int g, int m) {
+          int size = std::min(p, g * fanout + fanout) - g * fanout;
+          mpc::BatchInstance item = NewInstance(
+              combine_plan_for(size), next_blocks[g], m,
+              TripleSourceFor(kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m,
+                              next_blocks[g]),
+              static_cast<uint64_t>(g));
+          item.input_shares = combine_input(g, m, next_blocks);
+          return item;
+        },
+        [&](size_t i, const mpc::BitVector& output) {
+          next_shares[roles[i].first][roles[i].second] = output;
+        },
+        /*count_rounds=*/false);
+
     blocks = std::move(next_blocks);
     shares = std::move(next_shares);
     level++;
@@ -1037,7 +927,7 @@ int64_t Runtime::Run(const std::vector<mpc::BitVector>& initial_states, RunMetri
     m->resumed_from_iteration = start_iteration;
     m->init.seconds = phase.ElapsedSeconds();
   } else {
-    InitPhase(initial_states);
+    InitPhase({initial_states});
     m->init.seconds = phase.ElapsedSeconds();
     m->init.bytes = net_->TotalBytes() - bytes_before;
   }
@@ -1050,13 +940,13 @@ int64_t Runtime::Run(const std::vector<mpc::BitVector>& initial_states, RunMetri
     EnqueueComputeWave(/*num_scenarios=*/1);
 
     phase.Reset();
-    ComputePhase();
+    ComputePhase(/*num_scenarios=*/1);
     m->compute.seconds += phase.ElapsedSeconds();
     m->compute.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();
 
     phase.Reset();
-    CommunicatePhase();
+    CommunicatePhase(/*scenario=*/0);
     m->communicate.seconds += phase.ElapsedSeconds();
     m->communicate.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();
@@ -1070,7 +960,7 @@ int64_t Runtime::Run(const std::vector<mpc::BitVector>& initial_states, RunMetri
   // aggregation wave overlaps this step.
   EnqueueAggregateWave(/*num_scenarios=*/1);
   phase.Reset();
-  ComputePhase();
+  ComputePhase(/*num_scenarios=*/1);
   m->compute.seconds += phase.ElapsedSeconds();
   m->compute.bytes += net_->TotalBytes() - phase_bytes;
   phase_bytes = net_->TotalBytes();
@@ -1103,89 +993,11 @@ int64_t Runtime::Run(const std::vector<mpc::BitVector>& initial_states, RunMetri
 // S scenarios advance in lockstep as extra lanes of the batched planes:
 // role (s, v) lives at flat share index s*n + v, compute phases batch all
 // S*n vertex instances into one EvalBatchInstances pass, transfers reuse the
-// scenario-salted CommunicatePhaseBatched, and a single batched aggregation
+// scenario-salted CommunicatePhase, and a single batched aggregation
 // opens S noised figures. Scenario s's released figure equals
 // Run(initial_states[s]): init-share and transfer randomness cancel out of
 // opened values, and the aggregation noise is drawn from the same
 // (kNoiseRoleTag, m) streams every solo run uses.
-
-void Runtime::InitPhaseEnsemble(const std::vector<std::vector<mpc::BitVector>>& initial_states) {
-  const int n = graph_.num_vertices();
-  const int k1 = config_.block_size;
-  const int d = program_.degree_bound;
-  const int num_scenarios = static_cast<int>(initial_states.size());
-  const size_t total = static_cast<size_t>(num_scenarios) * n;
-
-  state_shares_.assign(total, std::vector<mpc::BitVector>(k1));
-  inmsg_shares_.assign(
-      total, std::vector<std::vector<mpc::BitVector>>(
-                 d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
-  outmsg_shares_.assign(
-      total, std::vector<std::vector<mpc::BitVector>>(
-                 d, std::vector<mpc::BitVector>(k1, mpc::BitVector(program_.message_bits, 0))));
-
-  for (int s = 0; s < num_scenarios; s++) {
-    const uint64_t salt = static_cast<uint64_t>(s) << 40;
-    DSTRESS_CHECK(static_cast<int>(initial_states[s].size()) == n);
-    for (int v = 0; v < n; v++) {
-      DSTRESS_CHECK(static_cast<int>(initial_states[s][v].size()) == program_.state_bits);
-      auto prg = RolePrg(0x11, static_cast<uint64_t>(s) * n + static_cast<uint64_t>(v));
-      auto shares = mpc::ShareBits(initial_states[s][v], k1, prg);
-      for (int m = 0; m < k1; m++) {
-        net_->Send(v, setup_.blocks[v][m], PackBits(shares[m]),
-                   kInitSession | salt | static_cast<uint64_t>(v));
-      }
-    }
-  }
-  for (int s = 0; s < num_scenarios; s++) {
-    const uint64_t salt = static_cast<uint64_t>(s) << 40;
-    for (int v = 0; v < n; v++) {
-      for (int m = 0; m < k1; m++) {
-        Bytes raw = net_->Recv(setup_.blocks[v][m], v, kInitSession | salt | static_cast<uint64_t>(v));
-        state_shares_[static_cast<size_t>(s) * n + v][m] =
-            UnpackBits(raw, static_cast<size_t>(program_.state_bits));
-      }
-    }
-  }
-}
-
-void Runtime::ComputePhaseEnsemble(int num_scenarios) {
-  const int n = graph_.num_vertices();
-  const int k1 = config_.block_size;
-  const size_t num_and = update_circuit_.stats().num_and;
-
-  std::vector<std::pair<int, int>> roles;
-  roles.reserve(static_cast<size_t>(num_scenarios) * n * k1);
-  for (int g = 0; g < num_scenarios * n; g++) {
-    for (int m = 0; m < k1; m++) {
-      roles.emplace_back(g, m);
-    }
-  }
-  RunBatchedPhase(
-      roles, [&](int g, int m) { return setup_.blocks[g % n][m]; },
-      [&](int g, int m) {
-        // Triple sources are shared per (vertex, member) across scenarios —
-        // consumed in ascending scenario order at every member, and triple
-        // randomness cancels out of opened results anyway.
-        const int v = g % n;
-        mpc::TripleSource* source =
-            TripleSourceFor(static_cast<uint64_t>(v), m, setup_.blocks[v]);
-        mpc::BatchInstance item;
-        item.plan = &update_plan_;
-        item.parties = setup_.blocks[v];
-        item.my_index = m;
-        if (num_and > 0) {
-          item.triples = source->Generate(num_and);
-        }
-        item.input_shares = AssembleUpdateInput(g, m);
-        item.order_key = static_cast<uint64_t>(g);
-        return item;
-      },
-      [&](size_t i, const mpc::BitVector& output) {
-        ScatterUpdateOutput(roles[i].first, roles[i].second, output);
-      },
-      /*count_rounds=*/true);
-}
 
 std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
   const int n = graph_.num_vertices();
@@ -1206,13 +1018,7 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
     }
   }
 
-  std::vector<std::pair<int, int>> roles;  // (scenario, member)
-  roles.reserve(static_cast<size_t>(num_scenarios) * k1);
-  for (int s = 0; s < num_scenarios; s++) {
-    for (int m = 0; m < k1; m++) {
-      roles.emplace_back(s, m);
-    }
-  }
+  const std::vector<std::pair<int, int>> roles = BlockRoles(num_scenarios, k1);  // (s, member)
   std::vector<std::vector<mpc::BitVector>> out_shares(num_scenarios,
                                                       std::vector<mpc::BitVector>(k1));
   RunBatchedPhase(
@@ -1233,16 +1039,11 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
         for (size_t b = 0; b < noise_bits; b++) {
           input.push_back(prg.NextBit() ? 1 : 0);
         }
-        mpc::TripleSource* source = TripleSourceFor(kAggTripleTag, m, setup_.aggregation_block);
-        mpc::BatchInstance item;
-        item.plan = &agg_plan;
-        item.parties = setup_.aggregation_block;
-        item.my_index = m;
-        if (num_and > 0) {
-          item.triples = source->Generate(num_and);
-        }
+        mpc::BatchInstance item =
+            NewInstance(agg_plan, setup_.aggregation_block, m,
+                        TripleSourceFor(kAggTripleTag, m, setup_.aggregation_block),
+                        static_cast<uint64_t>(s));
         item.input_shares = std::move(input);
-        item.order_key = static_cast<uint64_t>(s);
         return item;
       },
       [&](size_t i, const mpc::BitVector& output) {
@@ -1326,7 +1127,7 @@ std::vector<int64_t> Runtime::RunEnsemble(
   EnqueueComputeWave(num_scenarios);
 
   Stopwatch phase;
-  InitPhaseEnsemble(initial_states);
+  InitPhase(initial_states);
   m->init.seconds = phase.ElapsedSeconds();
   m->init.bytes = net_->TotalBytes() - bytes_before;
 
@@ -1335,14 +1136,14 @@ std::vector<int64_t> Runtime::RunEnsemble(
     EnqueueComputeWave(num_scenarios);
 
     phase.Reset();
-    ComputePhaseEnsemble(num_scenarios);
+    ComputePhase(num_scenarios);
     m->compute.seconds += phase.ElapsedSeconds();
     m->compute.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();
 
     phase.Reset();
     for (int s = 0; s < num_scenarios; s++) {
-      CommunicatePhaseBatched(s);
+      CommunicatePhase(s);
     }
     m->communicate.seconds += phase.ElapsedSeconds();
     m->communicate.bytes += net_->TotalBytes() - phase_bytes;
@@ -1350,7 +1151,7 @@ std::vector<int64_t> Runtime::RunEnsemble(
   }
   EnqueueAggregateWave(num_scenarios);
   phase.Reset();
-  ComputePhaseEnsemble(num_scenarios);
+  ComputePhase(num_scenarios);
   m->compute.seconds += phase.ElapsedSeconds();
   m->compute.bytes += net_->TotalBytes() - phase_bytes;
   phase_bytes = net_->TotalBytes();

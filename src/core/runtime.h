@@ -38,13 +38,15 @@
 //    partials per level (all sums stay shared), and only the root adds
 //    noise and opens.
 //
-// Scheduling: phases process vertices/edges in deterministic global order
-// as (group, subtask) tasks on the worker pool, where a group is one GMW
-// block or one edge transfer. The pool admits whole groups only while every
-// subtask of the admitted set can hold a thread concurrently; sends never
-// block, so every admitted protocol instance eventually progresses — see
-// worker_pool.h for the full invariant. The pool's threads persist across
-// phases and runs, so a run pays thread creation once, not once per batch.
+// Scheduling: a computation step (like each aggregation-tree level below
+// the root) is one lockstep batched GMW evaluation over all of its (block,
+// member) roles; a communication step runs four barrier-separated sub-phases of per-edge
+// batched transfer tasks. Tasks go to a persistent worker pool that admits
+// whole groups only while every subtask of the admitted set can hold a
+// thread concurrently; sends never block, so every admitted protocol
+// instance eventually progresses — see worker_pool.h for the full
+// invariant. The pool's threads persist across phases and runs, so a run
+// pays thread creation once, not once per batch.
 #ifndef SRC_CORE_RUNTIME_H_
 #define SRC_CORE_RUNTIME_H_
 
@@ -74,29 +76,6 @@ namespace dstress::core {
 
 struct RuntimeConfig {
   int block_size = 8;  // k+1
-  // Batched MPC data plane (the default): every node evaluates all of its
-  // block roles for a phase in one lockstep mpc::EvalBatchInstances call
-  // over bitsliced packed shares, instead of one task + one GmwParty per
-  // (vertex, member) role. Released figures and per-node TrafficStats are
-  // bit-identical either way (asserted in engine_test.cc); false keeps the
-  // seed one-role-per-task schedule for A/B comparison.
-  bool batch_mpc = true;
-  // With batch_mpc and dealer triples: run each batched phase as one
-  // lockstep task per executing node on the worker pool (the schedule OT
-  // triples always use) instead of one whole-phase lockstep call on the
-  // scheduler thread. Per-instance messages are identical — only which
-  // thread drives them changes — so figures and TrafficStats match;
-  // benchmarked as the lockstep-per-node vs hybrid A/B in
-  // bench_fig6_scalability.
-  bool batch_mpc_per_node = false;
-  // Batched transfer data plane (the default): every edge's sender/source/
-  // dest/receiver role work runs as per-edge batched tasks over the
-  // fixed-base/batch-affine crypto engine (src/transfer/batch_engine.h)
-  // instead of one task + one pure-scheme call per role. Wire bytes,
-  // released figures and per-node TrafficStats are bit-identical either way
-  // (asserted in transfer_test.cc/engine_test.cc); false keeps the seed
-  // schedule for A/B comparison. See docs/transfer-crypto.md.
-  bool batch_transfer = true;
   // Transfer-protocol noise and lookup parameters (production-scale alpha
   // needs the paper's 8 GB lookup table; defaults are test-scale).
   double transfer_budget_alpha = 0.9;
@@ -126,10 +105,10 @@ struct RuntimeConfig {
   // pool grows past this if a single protocol group needs more.
   int max_parallel_tasks = 0;
   // Per-channel queued-byte cap forwarded to the transport
-  // (TransportOptions::channel_high_watermark_bytes); 0 = unbounded. With
-  // batch_mpc on, a round's openings for every instance two nodes share
-  // coalesce onto one channel — size the cap for that sum, not for a
-  // single vertex's burst (see TransportOptions).
+  // (TransportOptions::channel_high_watermark_bytes); 0 = unbounded. A
+  // batched round's openings for every instance two nodes share coalesce
+  // onto one channel — size the cap for that sum, not for a single
+  // vertex's burst (see TransportOptions).
   size_t channel_high_watermark_bytes = 0;
   // Which wire carries the run (resolved via net::MakeTransport; "sim" or
   // "tcp" built in). The runtime never names a concrete transport type.
@@ -230,9 +209,8 @@ class Runtime {
   // aggregates are opened. Scenario s's figure is identical to
   // Run(initial_states[s]): per-scenario PRG roles (init shares, transfer
   // masks, aggregation noise) reproduce the solo streams, and S == 1
-  // delegates to Run() outright (bit-identical traffic included). Ensembles
-  // always use the batched planes regardless of batch_mpc/batch_transfer;
-  // S > 1 requires aggregation_fanout == 0 (flat aggregation).
+  // delegates to Run() outright (bit-identical traffic included). S > 1
+  // requires aggregation_fanout == 0 (flat aggregation).
   std::vector<int64_t> RunEnsemble(const std::vector<std::vector<mpc::BitVector>>& initial_states,
                                    RunMetrics* metrics);
 
@@ -246,30 +224,25 @@ class Runtime {
   const TrustedSetup& setup() const { return setup_; }
 
  private:
-  void InitPhase(const std::vector<mpc::BitVector>& initial_states);
-  void ComputePhase();
-  // The two computation-step schedules (RuntimeConfig::batch_mpc): one
-  // lockstep batched evaluation per node vs one task per (vertex, member)
-  // role. Identical wire traffic; see docs/packed-eval.md.
-  void ComputePhaseBatched();
-  void ComputePhaseUnbatched();
-  void CommunicatePhase();
-  // The two communication-step schedules (RuntimeConfig::batch_transfer):
-  // four barrier-separated sub-phases of per-edge batched crypto vs one
-  // task per transfer role. Identical wire traffic; docs/transfer-crypto.md.
-  // `scenario` selects the ensemble lane (0 = the solo run: sessions and
-  // PRG instances are then exactly the seed schedule's).
-  void CommunicatePhaseBatched(int scenario);
-  void CommunicatePhaseUnbatched();
+  // Share distribution for S >= 1 scenario lanes: the share arrays are
+  // sized S*n and role (s, v) lives at flat index s*n + v, so the
+  // Assemble/Scatter helpers work unchanged on flat indices. A solo run is
+  // the S == 1 case.
+  void InitPhase(const std::vector<std::vector<mpc::BitVector>>& initial_states);
+  // Computation step: every (lane, member) role of the S = num_scenarios
+  // lanes advances through the update circuit in one lockstep batched
+  // evaluation (docs/packed-eval.md).
+  void ComputePhase(int num_scenarios);
+  // Communication step: four barrier-separated sub-phases of per-edge
+  // batched transfer crypto (docs/transfer-crypto.md). `scenario` selects
+  // the ensemble lane (0 = the solo run).
+  void CommunicatePhase(int scenario);
   int64_t AggregatePhase();
   int64_t AggregateSingleLevel();
   int64_t AggregateTree();
 
-  // Ensemble phases (RunEnsemble, S > 1): the share arrays are sized S*n
-  // and role (s, v) lives at flat index s*n + v, so the solo
-  // Assemble/Scatter helpers work unchanged on flat indices.
-  void InitPhaseEnsemble(const std::vector<std::vector<mpc::BitVector>>& initial_states);
-  void ComputePhaseEnsemble(int num_scenarios);
+  // Ensemble aggregation (RunEnsemble, S > 1): one batched flat
+  // aggregation opens all S noised figures.
   std::vector<int64_t> AggregateEnsemble(int num_scenarios);
 
   // This party's share of one update-circuit input vector (state + incoming
@@ -287,12 +260,10 @@ class Runtime {
   // make_item(g, m) builds the instance (triples prefetched inside, in
   // role order), sink(i, output) stores role i's output shares.
   //
-  // Scheduling tradeoffs (measured on the 1-core CI container; see the
-  // ROADMAP open item on multi-core policy): the single-scheduler mode
-  // trades the seed schedule's cross-block thread parallelism for maximal
-  // slicing width and zero blocking — the right trade when per-layer
-  // synchronization dominates, unproven on many-core hosts (batch_mpc =
-  // false restores the seed schedule). The OT mode needs every node's
+  // Scheduling tradeoffs (see the ROADMAP open item on multi-core policy):
+  // the single-scheduler mode trades cross-block thread parallelism for
+  // maximal slicing width and zero blocking — the right trade when
+  // per-layer synchronization dominates. The OT mode needs every node's
   // task live at once (the lockstep superstep argument), so the pool
   // grows to one thread per participating node — fine at the block-level
   // N the ~100x-slower OT configs are practical at, but not a schedule

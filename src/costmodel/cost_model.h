@@ -82,7 +82,7 @@ struct ProjectionParams {
   // Worker threads a deployment node's transfer plane overlaps its per-edge
   // work across. 1 reproduces the paper's §5.5 conservative serialization
   // ("a node's block computations do not overlap") and is the seed-schedule
-  // baseline. The batched plane (core::Runtime::CommunicatePhaseBatched)
+  // baseline. The batched plane (core::Runtime::CommunicatePhase)
   // runs every edge's role work as an independent task on the persistent
   // worker pool — no blocking receives inside a sub-phase, shared state
   // read-only, scratch thread-local — so its projection divides the per-node

@@ -28,9 +28,6 @@ core::RuntimeConfig DeriveRuntimeConfig(const RunSpec& spec) {
   config.max_parallel_tasks = spec.max_parallel_tasks;
   config.channel_high_watermark_bytes = spec.channel_high_watermark_bytes;
   config.transport = spec.transport;
-  config.batch_mpc = spec.mpc_batching;
-  config.batch_mpc_per_node = spec.mpc_per_node_schedule;
-  config.batch_transfer = spec.transfer_batching;
   config.seed = spec.seed;
   config.checkpoint_every = spec.ha_checkpoint_every;
   config.checkpoint_path = spec.ha_checkpoint_path;

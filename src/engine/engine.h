@@ -62,7 +62,7 @@ class Engine {
   void AttachObserver(net::NetworkObserver* observer);
 
   // Final per-vertex states of the last Run(), when the backend exposes
-  // them (ExecutionBackend::DebugFinalStates; the cleartext backends do).
+  // them (ExecutionBackend::DebugFinalStates; the cleartext backend does).
   // Empty otherwise. Differential-testing hook, not part of the release
   // surface.
   std::vector<mpc::BitVector> FinalStates() const;

@@ -207,8 +207,8 @@ void GraphPlane::ComputeStep() {
     for (size_t k = 0; k < cw; k++) {
       const size_t w = active_list_[i0 + k];
       const uint64_t valid = valid_mask_[w];
-      // New state goes straight back into the input arena (the container
-      // plane's out->in state copy, fused); a masked change re-activates
+      // New state goes straight back into the input arena (the out->in
+      // state copy, fused); a masked change re-activates
       // the word, since its next evaluation reads the changed state.
       uint64_t state_changed = 0;
       for (int r = 0; r < sb_; r++) {
@@ -290,7 +290,7 @@ void GraphPlane::DeliverDirtyGroups() {
 }
 
 // Literal-send fallback (observer attached, or a non-sim wire): every edge
-// carries its payload for real, byte-identical to the container plane —
+// carries its payload for real, byte-identical to the metered delta —
 // send-all then receive-all in global edge order, payload bit r*S+s =
 // message bit r of scenario s. Receipt of a changed message re-activates
 // the receiver; receipt of an identical one is a no-op either way.

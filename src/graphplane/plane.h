@@ -24,11 +24,12 @@
 //  * Fidelity: the frontier changes which words are *evaluated*, never what
 //    is *sent*. Every directed edge is metered (or literally sent) every
 //    iteration, so released figures, per-vertex states, per-node
-//    TrafficStats and ensemble per-lane results are bit-identical to the
-//    container plane. Bulk metering needs the transport's cooperation
-//    (net::Transport::MeterSelfDelivered); when the transport refuses —
-//    attached observer, real wire — the plane falls back to one literal
-//    Send/Recv per edge with the legacy payload bytes.
+//    TrafficStats and ensemble per-lane results do not depend on it
+//    (golden digests in tests/graphplane_test.cc pin them). Bulk metering
+//    needs the transport's cooperation (net::Transport::MeterSelfDelivered);
+//    when the transport refuses — attached observer, real wire — the plane
+//    falls back to one literal Send/Recv per edge with the same payload
+//    bytes.
 //
 // The plane is engine-agnostic: it owns no transport, pool or circuits,
 // only references, so tests drive it directly and the arena backend
@@ -92,7 +93,7 @@ class GraphPlane {
 
   // The update-circuit input arena. Callers pack initial states into rows
   // [0, state_bits) (PackSoloStates or SetLaneGroup) after Reset(); in-slot
-  // rows start at ⊥ (all-zero), matching the container plane's init.
+  // rows start at ⊥ (all-zero).
   mpc::PackedShareMatrix& input_matrix() { return in_mat_; }
   const mpc::PackedShareMatrix& input_matrix() const { return in_mat_; }
 
@@ -135,8 +136,7 @@ class GraphPlane {
 
   // Reduces a contribution matrix (agg_bits rows over this plane's lanes)
   // to one wrapping uint64 sum per scenario, skipping garbage lanes.
-  // Addition order is (vertex-major per scenario), identical to the
-  // container plane's reduction.
+  // Addition order is vertex-major per scenario.
   std::vector<uint64_t> ScenarioSums(const mpc::PackedShareMatrix& contrib, int agg_bits) const;
 
   const Stats& stats() const { return stats_; }

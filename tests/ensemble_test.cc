@@ -7,7 +7,7 @@
 // execution modes — the lanes share one lockstep pass but must be
 // observationally independent. Width-1 ensembles must additionally be
 // traffic-identical to a plain run (same per-node TrafficStats), which pins
-// the W-identical case to the seed schedule.
+// the W-identical case to the solo schedule.
 
 #include "src/ensemble/ensemble.h"
 

@@ -1,16 +1,15 @@
-// Flat-arena cleartext graph plane tests (src/graphplane + the arena
-// backend dispatch in src/engine/cleartext_backend.cc).
+// Flat-arena cleartext graph plane tests (src/graphplane + the
+// kCleartextFast backend in src/engine/arena_cleartext_backend.cc).
 //
 // Two halves:
 //
-//  1. A randomized differential corpus pinning the arena plane
-//     (RunSpec::cleartext_arena = true, the default) bit-identical to the
-//     retired container plane (false) — released figures, cleartext
-//     references, per-vertex final states and per-node TrafficStats — over
-//     random topologies (N in {1, 7, 64, 1000}), EN / EGJ / custom vertex
-//     programs, flat and tree aggregation, and ensemble widths W in
-//     {1, 3, 64}. This harness is what lets the container plane be deleted
-//     later without a fidelity argument from first principles.
+//  1. A golden-digest corpus pinning the plane's full observable surface —
+//     released figures, cleartext references, per-vertex final states and
+//     per-node TrafficStats — over random topologies (N in {1, 7, 64,
+//     1000}), EN / EGJ / custom vertex programs, flat and tree aggregation,
+//     and ensemble widths W in {1, 3, 64}. The digests were recorded from
+//     the retired per-vertex container plane, which produced the same
+//     surface bit for bit, so they stand in for it as the oracle.
 //
 //  2. Frontier unit tests driving graphplane::GraphPlane directly: words
 //     deactivate when their inputs stop changing, reactivate when a changed
@@ -36,6 +35,7 @@
 #include "src/net/sim_network.h"
 #include "src/programs/private_sum.h"
 #include "src/programs/reachability.h"
+#include "tests/golden_digest.h"
 
 namespace dstress {
 namespace {
@@ -46,48 +46,153 @@ using engine::ExecutionMode;
 using engine::RunReport;
 using engine::RunSpec;
 
-// --- differential corpus ----------------------------------------------------
+// --- golden-digest corpus ---------------------------------------------------
 
-void ExpectSameTraffic(const Engine& a, const Engine& b, const std::string& label) {
-  ASSERT_EQ(a.transport().num_nodes(), b.transport().num_nodes()) << label;
-  for (int v = 0; v < a.transport().num_nodes(); v++) {
-    net::TrafficStats sa = a.transport().NodeStats(v);
-    net::TrafficStats sb = b.transport().NodeStats(v);
-    EXPECT_EQ(sa.bytes_sent, sb.bytes_sent) << label << " node " << v;
-    EXPECT_EQ(sa.bytes_received, sb.bytes_received) << label << " node " << v;
-    EXPECT_EQ(sa.messages_sent, sb.messages_sent) << label << " node " << v;
-    EXPECT_EQ(sa.messages_received, sb.messages_received) << label << " node " << v;
-  }
+// One row per corpus case, keyed by the label the tests below pass. Ensemble
+// rows carry no state image (their engine keeps none after RunEnsemble).
+const golden::GoldenDigest kGolden[] = {
+    {"en n=1 seed=1",
+     "093fe73eb27f6996461ae6e5cd2e16ba9f29071ef4acdd76351721784ebf6267",
+     "c27fb0ca11327c640ff562d2a2de3ab61a56a2c1cfad3d6c55c67ffd24ddd3ae",
+     "e47e593dbea1c0eb7668212efcf2c619909e20360aaddefd69834af172fd0184", 10, 0},
+    {"en n=1 seed=23",
+     "d13fffa69082d88a50a999db142f52604fb4b43d4ecffb62c21c8422d1caea88",
+     "c27fb0ca11327c640ff562d2a2de3ab61a56a2c1cfad3d6c55c67ffd24ddd3ae",
+     "e47e593dbea1c0eb7668212efcf2c619909e20360aaddefd69834af172fd0184", 10, 0},
+    {"en n=1 seed=777",
+     "532d7e86a4bfe46f094bc1f18158565ddbdff9239844ff013d0c48fb3d37e1e5",
+     "c27fb0ca11327c640ff562d2a2de3ab61a56a2c1cfad3d6c55c67ffd24ddd3ae",
+     "e47e593dbea1c0eb7668212efcf2c619909e20360aaddefd69834af172fd0184", 10, 0},
+    {"en n=7 seed=1",
+     "093fe73eb27f6996461ae6e5cd2e16ba9f29071ef4acdd76351721784ebf6267",
+     "08a95da5357863781f0e8868931b5e209ab768ad9d96af00424d95b2c3ac23e6",
+     "76906270078f3839998df9640fa8ade4f4d82efd57ebfd3cf6bd8b717564d569", 250, 0},
+    {"en n=7 seed=23",
+     "d13fffa69082d88a50a999db142f52604fb4b43d4ecffb62c21c8422d1caea88",
+     "1cfc7e718558659cf4268bf7c386fcdffbd425b03298206e079a465a87e3620b",
+     "66b55087de109bf6844da1dffaa75dd250684eb53d392224bbbe8a64f63c390e", 274, 0},
+    {"en n=7 seed=777",
+     "82073a6ca9aec88ef4ecffc353048cfe79423b888c0d94244f77a55d395028b3",
+     "a501dfbd5e269ac6e3d26f8f5029bba105552e3c875f950afa46b5725a049015",
+     "56165f3f58a187bd3f7d7ca0e918009253a801ab66e86c27bf2124e98e464646", 262, 0},
+    {"en n=64 seed=1",
+     "9b60d6015ec9e1fd4ab7cb2e85e3e7f5fecf3cd5aa0fec099d65d8910ba249f4",
+     "c61143d750c6594fe6dc7976f2847d0cb2c0158fea6687854eff2e7761f9467b",
+     "2a25cffb806c46e24d223587ff22e239534653215c1c8348d1424ae0a6e0ff6b", 2920, 0},
+    {"en n=64 seed=23",
+     "d13fffa69082d88a50a999db142f52604fb4b43d4ecffb62c21c8422d1caea88",
+     "c986b52370079d43abe0ca2d273b53e1d5b8910268e6b4a24957278ae94a6fa0",
+     "fe86e28cd8316b7144cc19b0a833a47565d1983ac02446187a77383242d93204", 3088, 0},
+    {"en n=64 seed=777",
+     "96e3c195f3ebdd235fbf5bd22e2dba2f6ca03e9c828da05cc44af1ef0078b56a",
+     "63c35f92411e77ec85cfee8bf91927de6c69df5de9704dfd24a9fe2af85ba3f7",
+     "376be23a0156d617e847b9f14f1739df64b2673cf7747b97ecd9a2988724c4b3", 3016, 0},
+    {"egj n=1 seed=1",
+     "c8bfae7ea955287b36b803279dffa8e32e54724a22be7f34347fdf87bb724422",
+     "234b0395a03374defa80cf2129740f55fb3aa18aec879161c40a9f5289727592",
+     "37f56f35c113c6a838319ac8ba0d047137a56a23c4f120efe50e697fc3538b9e", 14, 0},
+    {"egj n=1 seed=23",
+     "ba9310b2939f87afe0f8b246f54c7908720fcdb08f480b9d1ac07a481d8931d8",
+     "961e2ddb8bc0e1d51e3d0c895a2ed8621e66cdaaeee5e22765a2f3aca5eaf501",
+     "37f56f35c113c6a838319ac8ba0d047137a56a23c4f120efe50e697fc3538b9e", 14, 0},
+    {"egj n=1 seed=777",
+     "316257e98c5fa368953790657564ac2af89d1d72956ff51ff70e3d0bbb97a505",
+     "4a75a6f3b081f2d3a4133ee1eaeed62b64fb8bbb71aade467a41df65b60f5a10",
+     "37f56f35c113c6a838319ac8ba0d047137a56a23c4f120efe50e697fc3538b9e", 14, 0},
+    {"egj n=7 seed=1",
+     "64b990a82f553146f7ad89f0ebaefcc50e81e9037c67b04e9b8946eb84bc9fcc",
+     "24114c4a276a7e107a0f69189f6bf084776095322afd8c70b7a6289996d78002",
+     "554f11e0129f0846392c8576196bb851cf3ed2e0d176641235169d719fce8cc5", 278, 0},
+    {"egj n=7 seed=23",
+     "8cac4d9cf804df9ce7698b4b4f0a5c775db572cca7685f2dd61adbdbdfb7adf5",
+     "26add1a882f654054b6887cf7cfcb2c345d3b084db930ebba6ac9c633fa04dc3",
+     "68510bda7908d4bc9fdd88fbcac82bd04dd3b7f0d3774588f166bb8bacaaf646", 302, 0},
+    {"egj n=7 seed=777",
+     "55bfdba8a378e859d20b87bee7862b90db884ed2c6cab065750bddd35cfec2e9",
+     "07e67719d702d885a3a64bf4852d80013cb149a90e1f4967e80f4655e7d0237a",
+     "22b06749eb21b9c5b95a27e45832553a270c5083535b1c83d93cfd43114b3225", 290, 0},
+    {"egj n=64 seed=1",
+     "c75ddc3d261542ac312d246338061c4c4b8517c02d67712f714e219d6774a6c7",
+     "580503923234bba42265b8f47c62e46bafef3c14dd0b7dfd64a24140d3c33670",
+     "15a0808bafde2d4a0bbd6de16dec911a44822f255b7692bd45d900b68b57a125", 3176, 0},
+    {"egj n=64 seed=23",
+     "8ca898398f63c2696778a57e89db4d35241fe9904f15a841717e5265730344a1",
+     "7b28d2ffb41cf793640c5d7995e1e6da9d464d79e773574adf66dc350839330b",
+     "336dcf4ffc9e9e36bb6d2f1feadff4207c3f225bfe50221c2a63e81370fc0cd2", 3344, 0},
+    {"egj n=64 seed=777",
+     "8167773620039f5c71d66b0b2aa4520880978b540d5cd67d4b690ecf418dc613",
+     "23e7874ba36bbcbaeabff0ca836318b1d5efb508a0b5657d1703cf5f1513241e",
+     "9a0ea7966b34cf9d953a73010db2c061f75b2ab922ec36b2e8bb80ae1014e9a3", 3272, 0},
+    {"en n=1000 seed=4",
+     "707dfe2934badba4ab6983cf30555a79a70ec83baa1e6712d5c4725537caf6d2",
+     "97a854d5e47a68c5e61c1afc0daa761fa7dade6f30d345020086e3536b415f0e",
+     "c16710ecae075f45309bea8a3223fd00a68d1eef97467496070f0b18429b0950", 62840, 0},
+    {"egj n=1000 seed=4",
+     "554a13d6962ef4d8f088f76f24035e21544b2bb7599a89e9cec1466fc8efffef",
+     "ba5941454a3ad8148a527aa40507dcadea274bbd733b9ef8fb7ac03bc9b62970",
+     "84ab229d04492b3adf6f8eb361aaf24fc2647bcd1271bad091ab78780e9e7889", 66840, 0},
+    {"en n=64 seed=9 fanout=2",
+     "121f889574393e278a6483abd3afac634215bbbcf40f8fbca56ba145032e7e52",
+     "9324753e61d57e2a46a8dd1424f076cc4a6db3cacb305d0d8a200874ab27530f",
+     "32c8e02ae907f64541444de2c124ba2cb0933361ef9f5bad14112ad5959a2039", 3528, 0},
+    {"en n=64 seed=9 fanout=4",
+     "121f889574393e278a6483abd3afac634215bbbcf40f8fbca56ba145032e7e52",
+     "9324753e61d57e2a46a8dd1424f076cc4a6db3cacb305d0d8a200874ab27530f",
+     "dd10f15e59b00515fbf9706f9e62fc74d04e8e225eabddd58b57a55553d9c6ca", 3360, 0},
+    {"en n=64 seed=9 fanout=8",
+     "121f889574393e278a6483abd3afac634215bbbcf40f8fbca56ba145032e7e52",
+     "9324753e61d57e2a46a8dd1424f076cc4a6db3cacb305d0d8a200874ab27530f",
+     "328910f81ec485605a02754ff7bfe372f758aa1213849694829b51ebe59c2101", 3312, 0},
+    {"egj n=7 seed=5 fanout=3",
+     "8a07b3d0ace08993652ef2e593667ffe271f13d6c2a7aed153585995bd7dc59a",
+     "bb97be46096b12015631ff5b163459c8dff9d4f3ece345b78b831d7429d24514",
+     "8b31e5c8a3a161ee652da9e97ff982b4c951fa7860579b73749806783a46fc36", 314, 0},
+    {"private_sum n=7",
+     "34d6a7cf78b24ba3229787d31ef3a861924ce44f244494c0e91c22b41599cdf0",
+     "561bbe27ad2b2f56d5de54d649fe0cf3617d287b6be1e0ce483005e7a386395f",
+     "a0fa0b233b1a807a73d783e0c694bc5113aadc8ad20b9a99de0c55d5e865e77d", 36, 0},
+    {"reachability n=7",
+     "a4b9c152d3f0babee297dd168ed5a0e96561539a3854379a90b5b146417ae8a1",
+     "a962d5141b1592a1e77dcdbb750fa5249feaa4893e9e297a4775d3a51f030f6d",
+     "8f83c4dd3d5510a3d2348b34211b261f48fb023180ba4f88985870214fd1bcbf", 73, 0},
+    {"private_sum n=64",
+     "f780b5a6ec2b2d201c15dab87f982e141d44c8ee61f257ec62fad8900eb0e2b7",
+     "90b0b8e7a911fb04cee0a9e990190ddac220a4d65f6efe4758793c7999963b58",
+     "60fa5d90830fa0d128de577422ae8ee48bf5f35f7cc404b03500b18c3834924c", 378, 0},
+    {"reachability n=64",
+     "5674db803f0f955c2d7ee016f464fd1efa3563b08a6a5913fc20bc11e18f8b12",
+     "66f14067e0fe6f491c816835e1b9bcc768135c8ef004d7086c964f3d32a9641e",
+     "0a3a912830eace6224fc3a8c5136da93301f1e99d69f8563d2e0af23646a37e7", 814, 0},
+    {"ensemble W=1",
+     "619b41fd2031b5324f911043ee53c9ca488fbcb5e3e5fd5ee023bc67a3862406",
+     nullptr,
+     "563f5127b753783d7b384bc45fba66b79043b7831476c89729b6f627fd2e3c81", 1888, 0},
+    {"ensemble W=3",
+     "c352eacf668fad8dcb63de3bafdf805d9eb55bdb8ce58b6ddda833753d587c1f",
+     nullptr,
+     "6715b8f9295f497394c394610dfa6046b935885b002c7184a1efe9906473eb5e", 5664, 0},
+    {"ensemble W=64",
+     "523940e840d6e2a92908887127622b72e5acbd473715f6f56e5a72c83fb70d32",
+     nullptr,
+     "a938bb8a665d23ac25e52ff099922da3c3aa48b7e831158e426fc0e41210f981", 120832, 0},
+};
+
+// Runs `spec` and checks its digest against the row named `label`; a
+// mismatch names the case and every differing field.
+void ExpectMatchesGolden(const RunSpec& spec, const std::string& label) {
+  const golden::GoldenDigest* want = golden::Find(kGolden, label);
+  ASSERT_NE(want, nullptr) << "no golden digest for " << label;
+  Engine engine(spec);
+  RunReport report = engine.Run();
+  EXPECT_EQ(golden::Mismatch(golden::DigestRun(engine, report), *want), "");
 }
 
-// Runs `spec` once per plane and asserts the full observable surface is
-// bit-identical: released figure, reference, final states, traffic.
-void ExpectArenaMatchesLegacy(RunSpec spec, const std::string& label) {
-  RunSpec arena_spec = spec;
-  arena_spec.cleartext_arena = true;
-  RunSpec legacy_spec = spec;
-  legacy_spec.cleartext_arena = false;
-
-  Engine arena(arena_spec);
-  RunReport a = arena.Run();
-  Engine legacy(legacy_spec);
-  RunReport l = legacy.Run();
-
-  EXPECT_EQ(a.released, l.released) << label;
-  ASSERT_EQ(a.has_reference, l.has_reference) << label;
-  if (a.has_reference) {
-    EXPECT_EQ(a.reference, l.reference) << label;
-  }
-  EXPECT_EQ(a.iterations, l.iterations) << label;
-  EXPECT_EQ(a.metrics.total_bytes, l.metrics.total_bytes) << label;
-
-  std::vector<mpc::BitVector> sa = arena.FinalStates();
-  std::vector<mpc::BitVector> sl = legacy.FinalStates();
-  ASSERT_EQ(sa.size(), sl.size()) << label;
-  for (size_t v = 0; v < sa.size(); v++) {
-    EXPECT_EQ(sa[v], sl[v]) << label << " vertex " << v;
-  }
-  ExpectSameTraffic(arena, legacy, label);
+void ExpectEnsembleMatchesGolden(const RunSpec& spec, const std::string& label) {
+  const golden::GoldenDigest* want = golden::Find(kGolden, label);
+  ASSERT_NE(want, nullptr) << "no golden digest for " << label;
+  Engine engine(spec);
+  ensemble::EnsembleReport report = engine.RunEnsemble();
+  EXPECT_EQ(golden::Mismatch(golden::DigestEnsemble(engine, report), *want), "");
 }
 
 RunSpec FinanceSpec(ContagionModel model, int n, uint64_t seed) {
@@ -106,42 +211,45 @@ RunSpec FinanceSpec(ContagionModel model, int n, uint64_t seed) {
   return spec;
 }
 
-TEST(GraphPlaneDifferentialTest, FinanceModelsAcrossSizesAndSeeds) {
+const char* ModelName(ContagionModel model) {
+  return model == ContagionModel::kEisenbergNoe ? "en" : "egj";
+}
+
+TEST(GraphPlaneGoldenTest, FinanceModelsAcrossSizesAndSeeds) {
   for (ContagionModel model :
        {ContagionModel::kEisenbergNoe, ContagionModel::kElliottGolubJackson}) {
     for (int n : {1, 7, 64}) {
       for (uint64_t seed : {1u, 23u, 777u}) {
-        RunSpec spec = FinanceSpec(model, n, seed);
-        ExpectArenaMatchesLegacy(
-            spec, std::string(model == ContagionModel::kEisenbergNoe ? "en" : "egj") + " n=" +
-                      std::to_string(n) + " seed=" + std::to_string(seed));
+        ExpectMatchesGolden(FinanceSpec(model, n, seed),
+                            std::string(ModelName(model)) + " n=" + std::to_string(n) +
+                                " seed=" + std::to_string(seed));
       }
     }
   }
 }
 
-TEST(GraphPlaneDifferentialTest, ThousandVertexSweepMatches) {
+TEST(GraphPlaneGoldenTest, ThousandVertexSweep) {
   for (ContagionModel model :
        {ContagionModel::kEisenbergNoe, ContagionModel::kElliottGolubJackson}) {
-    RunSpec spec = FinanceSpec(model, 1000, 4);
-    ExpectArenaMatchesLegacy(spec, "n=1000");
+    ExpectMatchesGolden(FinanceSpec(model, 1000, 4),
+                        std::string(ModelName(model)) + " n=1000 seed=4");
   }
 }
 
-// Tree aggregation (aggregation_fanout > 1) exercises the arena backend's
-// gather-tree traffic simulation against the legacy literal tree.
-TEST(GraphPlaneDifferentialTest, TreeAggregationMatchesFlat) {
+// Tree aggregation (aggregation_fanout > 1) exercises the backend's
+// gather-tree traffic simulation, recorded from the literal tree.
+TEST(GraphPlaneGoldenTest, TreeAggregation) {
   for (int fanout : {2, 4, 8}) {
     RunSpec spec = FinanceSpec(ContagionModel::kEisenbergNoe, 64, 9);
     spec.aggregation_fanout = fanout;
-    ExpectArenaMatchesLegacy(spec, "fanout=" + std::to_string(fanout));
+    ExpectMatchesGolden(spec, "en n=64 seed=9 fanout=" + std::to_string(fanout));
   }
   RunSpec odd = FinanceSpec(ContagionModel::kElliottGolubJackson, 7, 5);
   odd.aggregation_fanout = 3;
-  ExpectArenaMatchesLegacy(odd, "egj fanout=3");
+  ExpectMatchesGolden(odd, "egj n=7 seed=5 fanout=3");
 }
 
-TEST(GraphPlaneDifferentialTest, CustomProgramsMatch) {
+TEST(GraphPlaneGoldenTest, CustomPrograms) {
   for (int n : {7, 64}) {
     Rng rng(static_cast<uint64_t>(n) * 31);
     graph::Graph g = graph::GenerateScaleFree(n, 2, rng);
@@ -162,7 +270,7 @@ TEST(GraphPlaneDifferentialTest, CustomProgramsMatch) {
     spec.custom_program = programs::BuildPrivateSumProgram(sum_params);
     spec.custom_states = programs::MakePrivateSumStates(values, sum_params.value_bits);
     spec.seed = static_cast<uint64_t>(n);
-    ExpectArenaMatchesLegacy(spec, "private_sum n=" + std::to_string(n));
+    ExpectMatchesGolden(spec, "private_sum n=" + std::to_string(n));
 
     programs::ReachabilityParams reach_params;
     reach_params.degree_bound = std::max(1, g.MaxDegree());
@@ -177,36 +285,13 @@ TEST(GraphPlaneDifferentialTest, CustomProgramsMatch) {
     reach.custom_program = programs::BuildReachabilityProgram(reach_params);
     reach.custom_states = programs::MakeReachabilityStates(n, {0});
     reach.seed = static_cast<uint64_t>(n) + 1;
-    ExpectArenaMatchesLegacy(reach, "reachability n=" + std::to_string(n));
+    ExpectMatchesGolden(reach, "reachability n=" + std::to_string(n));
   }
 }
 
-// Ensemble lanes: per-scenario figures and per-node traffic must match the
-// container ensemble plane lane for lane.
-void ExpectEnsembleMatches(RunSpec spec, const std::string& label) {
-  RunSpec arena_spec = spec;
-  arena_spec.cleartext_arena = true;
-  RunSpec legacy_spec = spec;
-  legacy_spec.cleartext_arena = false;
-
-  Engine arena(arena_spec);
-  ensemble::EnsembleReport a = arena.RunEnsemble();
-  Engine legacy(legacy_spec);
-  ensemble::EnsembleReport l = legacy.RunEnsemble();
-
-  ASSERT_EQ(a.scenarios.size(), l.scenarios.size()) << label;
-  for (size_t s = 0; s < a.scenarios.size(); s++) {
-    EXPECT_EQ(a.scenarios[s].released, l.scenarios[s].released) << label << " lane " << s;
-    ASSERT_EQ(a.scenarios[s].has_reference, l.scenarios[s].has_reference) << label;
-    if (a.scenarios[s].has_reference) {
-      EXPECT_EQ(a.scenarios[s].reference, l.scenarios[s].reference) << label << " lane " << s;
-    }
-  }
-  EXPECT_EQ(a.metrics.total_bytes, l.metrics.total_bytes) << label;
-  ExpectSameTraffic(arena, legacy, label);
-}
-
-TEST(GraphPlaneDifferentialTest, EnsembleWidthsMatch) {
+// Ensemble lanes: per-scenario figures and references plus per-node
+// traffic, lane for lane.
+TEST(GraphPlaneGoldenTest, EnsembleWidths) {
   // W = 1 (degenerate lane plane) and W = 3 (explicit scenarios).
   for (int width : {1, 3}) {
     RunSpec spec = FinanceSpec(ContagionModel::kEisenbergNoe, 40, 11);
@@ -216,7 +301,7 @@ TEST(GraphPlaneDifferentialTest, EnsembleWidthsMatch) {
       sc.shock.shocked_banks = {s};
       spec.ensemble->scenarios.push_back(sc);
     }
-    ExpectEnsembleMatches(spec, "ensemble W=" + std::to_string(width));
+    ExpectEnsembleMatchesGolden(spec, "ensemble W=" + std::to_string(width));
   }
   // W = 64: a full word of Monte Carlo lanes.
   RunSpec spec = FinanceSpec(ContagionModel::kEisenbergNoe, 40, 11);
@@ -227,7 +312,7 @@ TEST(GraphPlaneDifferentialTest, EnsembleWidthsMatch) {
   spec.ensemble->has_magnitude_range = true;
   spec.ensemble->magnitude_lo = 0.0;
   spec.ensemble->magnitude_hi = 0.6;
-  ExpectEnsembleMatches(spec, "ensemble W=64");
+  ExpectEnsembleMatchesGolden(spec, "ensemble W=64");
 }
 
 // --- frontier semantics -----------------------------------------------------
