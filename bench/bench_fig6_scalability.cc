@@ -46,6 +46,7 @@
 
 #include "bench/bench_util.h"
 #include "src/common/check.h"
+#include "src/common/stopwatch.h"
 #include "src/core/runtime.h"
 #include "src/costmodel/cost_model.h"
 #include "src/engine/engine.h"
@@ -140,6 +141,12 @@ struct JsonEntry {
   double offline_ms = -1;
   double offline_wait_ms = -1;
   double overlap_ms = -1;
+  // cleartext sweep rows only: Engine construction (graph, workload,
+  // initial states, reference solve, backend) and construction plus the
+  // first Run() — the time from spec to released figure. Negative = not
+  // measured (fields omitted).
+  double setup_ms = -1;
+  double e2e_ms = -1;
 };
 
 void WriteJson(const std::vector<JsonEntry>& entries, int block_size, double per_and_seed_us,
@@ -178,6 +185,9 @@ void WriteJson(const std::vector<JsonEntry>& entries, int block_size, double per
                    ", \"offline_ms\": %.2f, \"offline_wait_ms\": %.2f, \"overlap_ms\": %.2f",
                    e.base_ot_count, e.base_ot_count_baseline, e.offline_ms, e.offline_wait_ms,
                    e.overlap_ms);
+    }
+    if (e.setup_ms >= 0) {
+      std::fprintf(f, ", \"setup_ms\": %.2f, \"e2e_ms\": %.2f", e.setup_ms, e.e2e_ms);
     }
     std::fprintf(f, ", \"bytes_per_node\": %.0f}%s\n", e.bytes_per_node,
                  i + 1 < entries.size() ? "," : "");
@@ -486,10 +496,12 @@ void Run() {
   // large-N sweep the secure mode can only model — same circuits, same
   // transport and scheduler, word-parallel over the same EvalPlan. Since
   // the flat-arena graph plane (src/graphplane) the sweep reaches N=1M;
-  // tools/check_bench.py --cleartext-max-wall-ms pins the N=1M row's wall
-  // clock.
+  // tools/check_bench.py --cleartext-max-wall-ms pins the N=1M row's run
+  // wall clock and --cleartext-max-e2e-ms its end-to-end time (Engine
+  // construction + first Run()).
   std::printf("\n# cleartext fast-path sweep (real runs through engine::Engine)\n");
-  std::printf("%8s %6s %12s %18s\n", "N", "I", "arena(s)", "traffic/node(kB)");
+  std::printf("%8s %6s %10s %12s %10s %18s\n", "N", "I", "setup(s)", "arena(s)", "e2e(s)",
+              "traffic/node(kB)");
   std::vector<int> sweep_ns = FullScale()
                                   ? std::vector<int>{2000, 10000, 20000, 100000, 1000000}
                                   : std::vector<int>{2000, 10000, 100000, 1000000};
@@ -507,8 +519,11 @@ void Run() {
     spec.seed = 4;
     spec.mode = engine::ExecutionMode::kCleartextFast;
 
+    Stopwatch e2e;
     engine::Engine eng(spec);
+    const double setup_ms = e2e.ElapsedMillis();
     engine::RunReport report = eng.Run();
+    const double e2e_ms = e2e.ElapsedMillis();
     if (n == 100000) {
       // Steady-state allocation assertion: the first run warmed every
       // grow-only buffer (arena, frontier, EvalPacked scratch, sender
@@ -524,10 +539,14 @@ void Run() {
                   static_cast<unsigned long long>(calls));
       DSTRESS_CHECK(bytes < 64ull << 20);
     }
-    std::printf("%8d %6d %12.2f %18.2f\n", n, report.iterations, report.metrics.total_seconds,
+    std::printf("%8d %6d %10.2f %12.2f %10.2f %18.2f\n", n, report.iterations, setup_ms / 1e3,
+                report.metrics.total_seconds, e2e_ms / 1e3,
                 report.metrics.avg_bytes_per_node / 1e3);
-    json.push_back(JsonEntry{n, 8, "cleartext", report.metrics.total_seconds * 1e3, -1,
-                             report.metrics.avg_bytes_per_node});
+    JsonEntry row{n, 8, "cleartext", report.metrics.total_seconds * 1e3, -1,
+                  report.metrics.avg_bytes_per_node};
+    row.setup_ms = setup_ms;
+    row.e2e_ms = e2e_ms;
+    json.push_back(row);
   }
   std::printf("# the sweep grid that took the paper a cost model now runs for real,\n"
               "# including the N=1M point ROADMAP item 3 asked for\n");

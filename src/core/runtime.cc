@@ -79,16 +79,6 @@ mpc::BatchInstance NewInstance(const circuit::EvalPlan& plan, const std::vector<
   return item;
 }
 
-int SlotOf(const std::vector<int>& neighbors, int target) {
-  for (size_t i = 0; i < neighbors.size(); i++) {
-    if (neighbors[i] == target) {
-      return static_cast<int>(i);
-    }
-  }
-  DSTRESS_CHECK(false);
-  return -1;
-}
-
 }  // namespace
 
 std::string RunMetrics::ToString() const {
@@ -126,6 +116,7 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
                  const VertexProgram& program)
     : config_(config),
       graph_(graph),
+      edge_index_(graph),
       program_(program),
       update_circuit_(BuildUpdateCircuit(program)),
       update_plan_(update_circuit_) {
@@ -591,7 +582,7 @@ void Runtime::CommunicatePhase(int scenario) {
   RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
     net::SessionId session = kTransferSession | session_salt | e;
-    int out_slot = SlotOf(graph_.OutNeighbors(i), j);
+    const size_t out_slot = e - edge_index_.out_start(i);
     std::vector<mpc::BitVector> shares;
     std::vector<crypto::ChaCha20Prg> prgs;
     shares.reserve(k1);
@@ -627,7 +618,7 @@ void Runtime::CommunicatePhase(int scenario) {
   RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
     net::SessionId session = kTransferSession | session_salt | e;
-    int in_slot = SlotOf(graph_.InNeighbors(j), i);
+    const int in_slot = edge_index_.in_slot(e);
     Bytes agg = net_->Recv(j, i, transfer::TransferSubSession(session, 1));
     std::vector<Bytes> columns =
         transfer::AdjustAndSplitWire(agg, setup_.neighbor_keys[j][in_slot], transfer_params_);
@@ -644,7 +635,7 @@ void Runtime::CommunicatePhase(int scenario) {
   RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
     net::SessionId session = kTransferSession | session_salt | e;
-    int in_slot = SlotOf(graph_.InNeighbors(j), i);
+    const int in_slot = edge_index_.in_slot(e);
     std::vector<Bytes> columns;
     std::vector<const transfer::MemberKeys*> keys;
     columns.reserve(k1);

@@ -61,6 +61,7 @@
 #include "src/core/setup.h"
 #include "src/core/vertex_program.h"
 #include "src/core/worker_pool.h"
+#include "src/graph/edge_index.h"
 #include "src/graph/graph.h"
 #include "src/mpc/gmw.h"
 #include "src/mpc/triple_factory.h"
@@ -304,6 +305,9 @@ class Runtime {
 
   RuntimeConfig config_;
   const graph::Graph& graph_;
+  // Mirror-slot CSR over edges_: edge e = (i, j) is i's out-slot
+  // e - out_start(i) and j's in-slot in_slot(e).
+  graph::EdgeIndex edge_index_;
   VertexProgram program_;
   circuit::Circuit update_circuit_;
   // Precompiled layer structure of the update circuit, shared by every

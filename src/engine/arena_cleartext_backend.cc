@@ -71,6 +71,7 @@ class ArenaCleartextBackend : public ExecutionBackend {
  public:
   explicit ArenaCleartextBackend(const BackendContext& context)
       : graph_(*context.graph),
+        edge_index_(*context.edge_index),
         program_(*context.program),
         config_(context.runtime_config),
         early_exit_(context.spec != nullptr && context.spec->cleartext_early_exit),
@@ -94,7 +95,7 @@ class ArenaCleartextBackend : public ExecutionBackend {
     options.num_scenarios = 1;
     options.stride = 1;
     options.edge_session_base = kEdgeSession;
-    solo_plane_ = std::make_unique<graphplane::GraphPlane>(graph_, program_, update_plan_,
+    solo_plane_ = std::make_unique<graphplane::GraphPlane>(edge_index_, program_, update_plan_,
                                                            pool_.get(), net_.get(), options);
   }
 
@@ -324,6 +325,7 @@ class ArenaCleartextBackend : public ExecutionBackend {
   }
 
   const graph::Graph& graph_;
+  const graph::EdgeIndex& edge_index_;
   core::VertexProgram program_;
   core::RuntimeConfig config_;
   bool early_exit_ = false;
@@ -454,7 +456,7 @@ std::vector<int64_t> ArenaCleartextBackend::ExecuteEnsemble(
     options.num_scenarios = num_scenarios;
     options.stride = stride;
     options.edge_session_base = kEdgeSession;
-    graphplane::GraphPlane plane(graph_, program_, update_plan_, pool_.get(), net_.get(),
+    graphplane::GraphPlane plane(edge_index_, program_, update_plan_, pool_.get(), net_.get(),
                                  options);
     mpc::PackedShareMatrix& in_mat = plane.input_matrix();
     for (int s = 0; s < num_scenarios; s++) {

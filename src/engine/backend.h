@@ -26,6 +26,7 @@
 
 #include "src/core/runtime.h"
 #include "src/engine/run_spec.h"
+#include "src/graph/edge_index.h"
 #include "src/net/transport.h"
 
 namespace dstress::engine {
@@ -35,6 +36,9 @@ namespace dstress::engine {
 struct BackendContext {
   const RunSpec* spec = nullptr;
   const graph::Graph* graph = nullptr;
+  // The graph's mirror-slot CSR, built once by the Engine and shared by
+  // every consumer (the cleartext plane's delivery step).
+  const graph::EdgeIndex* edge_index = nullptr;
   const core::VertexProgram* program = nullptr;
   // Schedule knobs, already derived from the spec (block size, fanout,
   // triple source, seed, transfer parameters).

@@ -61,6 +61,7 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
     built_graph_.emplace(BuildTopologyGraph(spec_.topology, spec_.seed));
     graph_ = &*built_graph_;
   }
+  edge_index_.emplace(*graph_);
   const int n = graph_->num_vertices();
   DSTRESS_CHECK(n > 0);
   const int degree_bound =
@@ -79,8 +80,8 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
       finance::EnInstance instance =
           finance::MakeEnWorkload(*graph_, DeriveWorkloadParams(spec_), spec_.shock);
       program_ = finance::MakeEnProgram(params);
-      initial_states_ = finance::MakeEnInitialStates(instance, params);
-      reference_ = finance::EnSolveFixed(instance, params);
+      initial_states_ = finance::MakeEnInitialStates(instance, params, *edge_index_);
+      reference_ = finance::EnSolveFixed(instance, params, *edge_index_);
       has_reference_ = true;
       break;
     }
@@ -97,7 +98,7 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
           finance::MakeEgjWorkload(*graph_, DeriveWorkloadParams(spec_), spec_.shock);
       program_ = finance::MakeEgjProgram(params);
       initial_states_ = finance::MakeEgjInitialStates(instance, params);
-      reference_ = finance::EgjSolveFixed(instance, params);
+      reference_ = finance::EgjSolveFixed(instance, params, *edge_index_);
       has_reference_ = true;
       break;
     }
@@ -126,6 +127,7 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
   BackendContext context;
   context.spec = &spec_;
   context.graph = graph_;
+  context.edge_index = &*edge_index_;
   context.program = &program_;
   context.runtime_config = DeriveRuntimeConfig(spec_);
   backend_ = MakeExecutionBackend(spec_.mode, context);
@@ -161,9 +163,9 @@ void Engine::CompileEnsemble(int degree_bound) {
         instance = base;
         finance::ApplyEnShock(instance, sc.shock);
       }
-      ensemble_states_.push_back(finance::MakeEnInitialStates(instance, params));
+      ensemble_states_.push_back(finance::MakeEnInitialStates(instance, params, *edge_index_));
       std::vector<uint64_t> prorate;
-      ensemble_refs_.push_back(finance::EnSolveFixed(instance, params, &prorate));
+      ensemble_refs_.push_back(finance::EnSolveFixed(instance, params, *edge_index_, &prorate));
       std::vector<uint8_t> defaults(n);
       for (int v = 0; v < n; v++) {
         defaults[v] = prorate[v] < spec_.format.One() ? 1 : 0;
@@ -191,7 +193,7 @@ void Engine::CompileEnsemble(int degree_bound) {
       }
       ensemble_states_.push_back(finance::MakeEgjInitialStates(instance, params));
       std::vector<uint64_t> values;
-      ensemble_refs_.push_back(finance::EgjSolveFixed(instance, params, &values));
+      ensemble_refs_.push_back(finance::EgjSolveFixed(instance, params, *edge_index_, &values));
       std::vector<uint8_t> defaults(n);
       for (int v = 0; v < n; v++) {
         defaults[v] = values[v] < instance.threshold[v] ? 1 : 0;

@@ -25,6 +25,19 @@ Word Slice(const Word& state, int index, int width) {
               state.begin() + static_cast<long>(index + 1) * width);
 }
 
+// Every edge's saturated debt, stored at the creditor's flat in-slot.
+std::vector<uint64_t> CreditsByInSlot(const EnInstance& instance, const FixedPointFormat& format,
+                                      const graph::EdgeIndex& index) {
+  std::vector<uint64_t> credit(index.num_edges());
+  for (int u = 0; u < index.num_vertices(); u++) {
+    const size_t first = index.out_start(u);
+    for (size_t e = first; e < index.out_start(u + 1); e++) {
+      credit[index.in_flat(e)] = format.SaturateValue(instance.debts[u][e - first]);
+    }
+  }
+  return credit;
+}
+
 }  // namespace
 
 uint64_t EnInstance::TotalDebtOf(int v) const {
@@ -123,49 +136,49 @@ core::VertexProgram MakeEnProgram(const EnProgramParams& params) {
 
 std::vector<mpc::BitVector> MakeEnInitialStates(const EnInstance& instance,
                                                 const EnProgramParams& params) {
-  const graph::Graph& g = *instance.graph;
+  return MakeEnInitialStates(instance, params, graph::EdgeIndex(*instance.graph));
+}
+
+std::vector<mpc::BitVector> MakeEnInitialStates(const EnInstance& instance,
+                                                const EnProgramParams& params,
+                                                const graph::EdgeIndex& index) {
+  const int n = index.num_vertices();
   const int w = params.format.value_bits;
   const int d_bound = params.degree_bound;
-  std::vector<mpc::BitVector> states;
-  states.reserve(g.num_vertices());
-  for (int v = 0; v < g.num_vertices(); v++) {
-    mpc::BitVector state;
-    state.reserve(StateBits(params));
-    mpc::AppendBits(&state, mpc::WordToBits(params.format.SaturateValue(instance.cash[v]), w));
-    mpc::AppendBits(&state,
-                    mpc::WordToBits(params.format.SaturateValue(instance.TotalDebtOf(v)), w));
-    mpc::AppendBits(&state, mpc::WordToBits(params.format.One(), w));  // prorate = 1.0
-    // Out-slot debts (padded to D with zeros).
-    for (int d = 0; d < d_bound; d++) {
-      uint64_t debt =
-          d < g.OutDegree(v) ? params.format.SaturateValue(instance.debts[v][d]) : 0;
-      mpc::AppendBits(&state, mpc::WordToBits(debt, w));
+  const std::vector<uint64_t> credit = CreditsByInSlot(instance, params.format, index);
+  auto put = [w](mpc::BitVector* state, int word, uint64_t value) {
+    mpc::PutWordBits(state, static_cast<size_t>(word) * w, value, w);
+  };
+  // Words past a vertex's degree stay zero: the padded slots.
+  std::vector<mpc::BitVector> states(n);
+  for (int v = 0; v < n; v++) {
+    mpc::BitVector& state = states[v];
+    state.assign(StateBits(params), 0);
+    put(&state, 0, params.format.SaturateValue(instance.cash[v]));
+    put(&state, 1, params.format.SaturateValue(instance.TotalDebtOf(v)));
+    put(&state, 2, params.format.One());  // prorate = 1.0
+    const int out_slots = std::min(index.out_degree(v), d_bound);
+    for (int d = 0; d < out_slots; d++) {
+      put(&state, 3 + d, params.format.SaturateValue(instance.debts[v][d]));
     }
     // In-slot credits: what the in-neighbor owes me.
-    for (int d = 0; d < d_bound; d++) {
-      uint64_t credit = 0;
-      if (d < g.InDegree(v)) {
-        int j = g.InNeighbors(v)[d];
-        // Find my slot in j's out list.
-        const auto& out = g.OutNeighbors(j);
-        for (size_t s = 0; s < out.size(); s++) {
-          if (out[s] == v) {
-            credit = params.format.SaturateValue(instance.debts[j][s]);
-            break;
-          }
-        }
-      }
-      mpc::AppendBits(&state, mpc::WordToBits(credit, w));
+    const int in_slots = std::min(index.in_degree(v), d_bound);
+    for (int d = 0; d < in_slots; d++) {
+      put(&state, 3 + d_bound + d, credit[index.in_start(v) + static_cast<size_t>(d)]);
     }
-    states.push_back(std::move(state));
   }
   return states;
 }
 
 uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
                       std::vector<uint64_t>* prorate_out) {
-  const graph::Graph& g = *instance.graph;
-  const int n = g.num_vertices();
+  return EnSolveFixed(instance, params, graph::EdgeIndex(*instance.graph), prorate_out);
+}
+
+uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
+                      const graph::EdgeIndex& index, std::vector<uint64_t>* prorate_out) {
+  const int n = index.num_vertices();
+  const int f = params.format.frac_bits;
   const uint64_t one = params.format.One();
   const uint64_t max_value = params.format.MaxValue();
 
@@ -174,10 +187,16 @@ uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
     cash[v] = params.format.SaturateValue(instance.cash[v]);
     total_debt[v] = params.format.SaturateValue(instance.TotalDebtOf(v));
   }
-  // shortfall_in[v][slot]: last received shortfall notice per in-slot.
-  std::vector<std::vector<uint64_t>> shortfall_in(n);
-  for (int v = 0; v < n; v++) {
-    shortfall_in[v].assign(g.InDegree(v), 0);
+  // Flat arrays: per in-slot, the credit it is owed and the last shortfall
+  // notice it received; per out-edge, its debt and the in-slot its notice
+  // lands in.
+  const std::vector<uint64_t> credit = CreditsByInSlot(instance, params.format, index);
+  std::vector<uint64_t> shortfall_in(index.num_edges(), 0);
+  std::vector<uint64_t> debt(index.num_edges());
+  std::vector<size_t> target(index.num_edges());
+  for (size_t e = 0; e < target.size(); e++) {
+    target[e] = index.in_flat(e);
+    debt[e] = credit[target[e]];
   }
   std::vector<uint64_t> prorate(n, one);
 
@@ -186,22 +205,11 @@ uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
   for (int step = 0; step <= params.iterations; step++) {
     for (int v = 0; v < n; v++) {
       uint64_t liquid = cash[v];
-      for (int d = 0; d < g.InDegree(v); d++) {
-        int j = g.InNeighbors(v)[d];
-        uint64_t credit = 0;
-        const auto& out = g.OutNeighbors(j);
-        for (size_t s = 0; s < out.size(); s++) {
-          if (out[s] == v) {
-            credit = params.format.SaturateValue(instance.debts[j][s]);
-            break;
-          }
-        }
-        uint64_t paid = shortfall_in[v][d] > credit ? 0 : credit - shortfall_in[v][d];
-        liquid += paid;
+      for (size_t k = index.in_start(v); k < index.in_start(v + 1); k++) {
+        liquid += shortfall_in[k] > credit[k] ? 0 : credit[k] - shortfall_in[k];
       }
       liquid = std::min(liquid, max_value);
-      uint64_t ratio = total_debt[v] == 0 ? one : (liquid << params.format.frac_bits) /
-                                                      total_debt[v];
+      uint64_t ratio = total_debt[v] == 0 ? one : (liquid << f) / total_debt[v];
       prorate[v] = std::min(ratio, one);
     }
     if (step == params.iterations) {
@@ -210,18 +218,8 @@ uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
     // Communication: update shortfall notices.
     for (int v = 0; v < n; v++) {
       uint64_t unpaid_frac = one - prorate[v];
-      for (int s = 0; s < g.OutDegree(v); s++) {
-        int j = g.OutNeighbors(v)[s];
-        uint64_t debt = params.format.SaturateValue(instance.debts[v][s]);
-        uint64_t shortfall = (debt * unpaid_frac) >> params.format.frac_bits;
-        // Locate v's slot among j's in-neighbors.
-        const auto& in = g.InNeighbors(j);
-        for (size_t slot = 0; slot < in.size(); slot++) {
-          if (in[slot] == v) {
-            shortfall_in[j][slot] = shortfall;
-            break;
-          }
-        }
+      for (size_t e = index.out_start(v); e < index.out_start(v + 1); e++) {
+        shortfall_in[target[e]] = (debt[e] * unpaid_frac) >> f;
       }
     }
   }
@@ -231,7 +229,7 @@ uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
   }
   uint64_t tds = 0;
   for (int v = 0; v < n; v++) {
-    tds += (total_debt[v] * (one - prorate[v])) >> params.format.frac_bits;
+    tds += (total_debt[v] * (one - prorate[v])) >> f;
   }
   return tds;
 }

@@ -125,47 +125,60 @@ std::vector<mpc::BitVector> MakeEgjInitialStates(const EgjInstance& instance,
   const graph::Graph& g = *instance.graph;
   const int w = params.format.value_bits;
   const int d_bound = params.degree_bound;
-  std::vector<mpc::BitVector> states;
-  states.reserve(g.num_vertices());
+  auto put = [&](mpc::BitVector* state, int word, uint64_t value) {
+    mpc::PutWordBits(state, static_cast<size_t>(word) * w, params.format.SaturateValue(value),
+                     w);
+  };
+  // Words past a vertex's in-degree stay zero: the padded slots.
+  std::vector<mpc::BitVector> states(g.num_vertices());
   for (int v = 0; v < g.num_vertices(); v++) {
-    mpc::BitVector state;
-    state.reserve(StateBits(params));
-    auto append = [&](uint64_t value) {
-      mpc::AppendBits(&state, mpc::WordToBits(params.format.SaturateValue(value), w));
-    };
-    append(instance.base[v]);
-    append(instance.orig_val[v]);
-    append(instance.orig_val[v]);  // value starts at the initial valuation
-    append(instance.threshold[v]);
-    append(instance.penalty[v]);
-    for (int d = 0; d < d_bound; d++) {
-      append(d < g.InDegree(v) ? instance.insh[v][d] : 0);
+    mpc::BitVector& state = states[v];
+    state.assign(StateBits(params), 0);
+    put(&state, 0, instance.base[v]);
+    put(&state, 1, instance.orig_val[v]);
+    put(&state, 2, instance.orig_val[v]);  // value starts at the initial valuation
+    put(&state, 3, instance.threshold[v]);
+    put(&state, 4, instance.penalty[v]);
+    const std::vector<int>& in = g.InNeighbors(v);
+    const int in_slots = std::min(static_cast<int>(in.size()), d_bound);
+    for (int d = 0; d < in_slots; d++) {
+      put(&state, 5 + d, instance.insh[v][d]);
+      put(&state, 5 + d_bound + d, instance.orig_val[in[d]]);
     }
-    for (int d = 0; d < d_bound; d++) {
-      uint64_t nbr = 0;
-      if (d < g.InDegree(v)) {
-        nbr = instance.orig_val[g.InNeighbors(v)[d]];
-      }
-      append(nbr);
-    }
-    states.push_back(std::move(state));
   }
   return states;
 }
 
 uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& params,
                        std::vector<uint64_t>* values_out) {
+  return EgjSolveFixed(instance, params, graph::EdgeIndex(*instance.graph), values_out);
+}
+
+uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& params,
+                       const graph::EdgeIndex& index, std::vector<uint64_t>* values_out) {
   const graph::Graph& g = *instance.graph;
-  const int n = g.num_vertices();
+  const int n = index.num_vertices();
   const int f = params.format.frac_bits;
   const uint64_t one = params.format.One();
   const uint64_t max_value = params.format.MaxValue();
 
   auto sat = [&](uint64_t v) { return params.format.SaturateValue(v); };
 
-  std::vector<std::vector<uint64_t>> discount_in(n);
+  // Flat in-slot arrays: the holder's share, the issuer's initial
+  // valuation and the last discount notice received; target[e] is the
+  // in-slot out-edge e's notice lands in.
+  const size_t num_slots = index.num_edges();
+  std::vector<uint64_t> share(num_slots), nbr_orig(num_slots), discount_in(num_slots, 0);
   for (int v = 0; v < n; v++) {
-    discount_in[v].assign(g.InDegree(v), 0);
+    const std::vector<int>& in = g.InNeighbors(v);
+    for (size_t d = 0; d < in.size(); d++) {
+      share[index.in_start(v) + d] = sat(instance.insh[v][d]);
+      nbr_orig[index.in_start(v) + d] = sat(instance.orig_val[in[d]]);
+    }
+  }
+  std::vector<size_t> target(num_slots);
+  for (size_t e = 0; e < num_slots; e++) {
+    target[e] = index.in_flat(e);
   }
   std::vector<uint64_t> value(n);
   for (int v = 0; v < n; v++) {
@@ -175,13 +188,10 @@ uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& para
   for (int step = 0; step <= params.iterations; step++) {
     for (int v = 0; v < n; v++) {
       uint64_t acc = sat(instance.base[v]);
-      for (int d = 0; d < g.InDegree(v); d++) {
-        uint64_t discount = std::min(discount_in[v][d], one);
-        uint64_t remain = one - discount;
-        uint64_t nbr_orig = sat(instance.orig_val[g.InNeighbors(v)[d]]);
-        uint64_t nbr_value = (nbr_orig * remain) >> f;
-        uint64_t holding = (sat(instance.insh[v][d]) * nbr_value) >> f;
-        acc += holding;
+      for (size_t k = index.in_start(v); k < index.in_start(v + 1); k++) {
+        uint64_t remain = one - std::min(discount_in[k], one);
+        uint64_t nbr_value = (nbr_orig[k] * remain) >> f;
+        acc += (share[k] * nbr_value) >> f;
       }
       acc = std::min(acc, max_value);
       if (acc < sat(instance.threshold[v])) {
@@ -198,15 +208,8 @@ uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& para
       uint64_t orig = sat(instance.orig_val[v]);
       uint64_t ratio = orig == 0 ? one : std::min(one, (value[v] << f) / orig);
       uint64_t discount = one - ratio;
-      for (int s = 0; s < g.OutDegree(v); s++) {
-        int holder = g.OutNeighbors(v)[s];
-        const auto& in = g.InNeighbors(holder);
-        for (size_t slot = 0; slot < in.size(); slot++) {
-          if (in[slot] == v) {
-            discount_in[holder][slot] = discount;
-            break;
-          }
-        }
+      for (size_t e = index.out_start(v); e < index.out_start(v + 1); e++) {
+        discount_in[target[e]] = discount;
       }
     }
   }

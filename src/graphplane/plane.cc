@@ -14,16 +14,6 @@ namespace {
 // packed-share data plane's chunking.
 constexpr size_t kWordsPerTask = 16;
 
-int SlotOf(const std::vector<int>& neighbors, int target) {
-  for (size_t i = 0; i < neighbors.size(); i++) {
-    if (neighbors[i] == target) {
-      return static_cast<int>(i);
-    }
-  }
-  DSTRESS_CHECK(false);
-  return -1;
-}
-
 }  // namespace
 
 void InsertBits(Bytes* out, size_t bit_offset, uint64_t bits, int count) {
@@ -71,14 +61,14 @@ void PackSoloStates(const std::vector<mpc::BitVector>& states, mpc::PackedShareM
   }
 }
 
-GraphPlane::GraphPlane(const graph::Graph& graph, const core::VertexProgram& program,
+GraphPlane::GraphPlane(const graph::EdgeIndex& edges, const core::VertexProgram& program,
                        const circuit::EvalPlan& update_plan, core::WorkerPool* pool,
                        net::Transport* net, Options options)
-    : graph_(graph),
+    : edges_(edges),
       update_plan_(update_plan),
       pool_(pool),
       net_(net),
-      n_(graph.num_vertices()),
+      n_(edges.num_vertices()),
       sb_(program.state_bits),
       mb_(program.message_bits),
       degree_bound_(program.degree_bound),
@@ -96,25 +86,6 @@ GraphPlane::GraphPlane(const graph::Graph& graph, const core::VertexProgram& pro
   lanes_ = static_cast<size_t>(n_) * stride_;
   words_ = (lanes_ + 63) / 64;
   group_mask_ = num_scenarios_ >= 64 ? ~0ULL : (1ULL << num_scenarios_) - 1;
-
-  // CSR over Edges() order: out-neighbors are stored in insertion order, so
-  // the global edge index of v's slot-th out-edge is out_start_[v] + slot.
-  out_start_.resize(static_cast<size_t>(n_) + 1, 0);
-  out_deg_.resize(static_cast<size_t>(n_), 0);
-  for (int v = 0; v < n_; v++) {
-    out_deg_[static_cast<size_t>(v)] = graph_.OutDegree(v);
-    out_start_[static_cast<size_t>(v) + 1] =
-        out_start_[static_cast<size_t>(v)] + static_cast<size_t>(graph_.OutDegree(v));
-  }
-  const size_t num_edges = out_start_[static_cast<size_t>(n_)];
-  edge_dst_.reserve(num_edges);
-  edge_in_slot_.reserve(num_edges);
-  for (int v = 0; v < n_; v++) {
-    for (int dst : graph_.OutNeighbors(v)) {
-      edge_dst_.push_back(dst);
-      edge_in_slot_.push_back(SlotOf(graph_.InNeighbors(dst), v));
-    }
-  }
 
   valid_mask_.resize(words_, 0);
   for (size_t w = 0; w < words_; w++) {
@@ -135,8 +106,8 @@ GraphPlane::GraphPlane(const graph::Graph& graph, const core::VertexProgram& pro
       (static_cast<uint64_t>(mb_) * static_cast<uint64_t>(num_scenarios_) + 7) / 8;
   edge_delta_.resize(static_cast<size_t>(n_));
   for (int v = 0; v < n_; v++) {
-    for (int slot = 0; slot < out_deg_[static_cast<size_t>(v)]; slot++) {
-      const int dst = edge_dst_[out_start_[static_cast<size_t>(v)] + static_cast<size_t>(slot)];
+    for (size_t e = edges_.out_start(v); e < edges_.out_start(v + 1); e++) {
+      const int dst = edges_.dst(e);
       edge_delta_[static_cast<size_t>(v)].bytes_sent += payload_bytes;
       edge_delta_[static_cast<size_t>(v)].messages_sent += 1;
       edge_delta_[static_cast<size_t>(dst)].bytes_received += payload_bytes;
@@ -266,16 +237,16 @@ void GraphPlane::DeliverDirtyGroups() {
         const size_t group_lane = v * static_cast<size_t>(stride_);
         const int shift = static_cast<int>(group_lane & 63);
         dirty &= ~(group_mask_ << shift);
-        if (slot >= out_deg_[v]) {
+        if (slot >= edges_.out_degree(static_cast<int>(v))) {
           continue;  // padded slot: the update emits it but no edge carries it
         }
-        const size_t e = out_start_[v] + static_cast<size_t>(slot);
-        const size_t dest_lane = static_cast<size_t>(edge_dst_[e]) * stride_;
+        const size_t e = edges_.out_start(static_cast<int>(v)) + static_cast<size_t>(slot);
+        const size_t dest_lane = static_cast<size_t>(edges_.dst(e)) * stride_;
         const size_t dest_word = dest_lane >> 6;
         const int dest_shift = static_cast<int>(dest_lane & 63);
         const size_t src_row0 = static_cast<size_t>(slot) * mb_;
         const size_t dst_row0 =
-            static_cast<size_t>(sb_) + static_cast<size_t>(edge_in_slot_[e]) * mb_;
+            static_cast<size_t>(sb_) + static_cast<size_t>(edges_.in_slot(e)) * mb_;
         for (int r = 0; r < mb_; r++) {
           const uint64_t bits =
               (out_msg_mat_.row(src_row0 + static_cast<size_t>(r))[w] >> shift) & group_mask_;
@@ -302,8 +273,8 @@ void GraphPlane::SendAllEdges() {
     const size_t lane = static_cast<size_t>(v) * stride_;
     const size_t w = lane >> 6;
     const int shift = static_cast<int>(lane & 63);
-    for (int slot = 0; slot < out_deg_[static_cast<size_t>(v)]; slot++) {
-      const size_t e = out_start_[static_cast<size_t>(v)] + static_cast<size_t>(slot);
+    for (int slot = 0; slot < edges_.out_degree(v); slot++) {
+      const size_t e = edges_.out_start(v) + static_cast<size_t>(slot);
       Bytes payload(payload_bytes, 0);
       for (int r = 0; r < mb_; r++) {
         const uint64_t bits =
@@ -313,20 +284,19 @@ void GraphPlane::SendAllEdges() {
         InsertBits(&payload, static_cast<size_t>(r) * static_cast<size_t>(s_count), bits,
                    s_count);
       }
-      net_->Send(v, edge_dst_[e], std::move(payload), session_base_ | e);
+      net_->Send(v, edges_.dst(e), std::move(payload), session_base_ | e);
     }
   }
   for (int v = 0; v < n_; v++) {
-    for (int slot = 0; slot < out_deg_[static_cast<size_t>(v)]; slot++) {
-      const size_t e = out_start_[static_cast<size_t>(v)] + static_cast<size_t>(slot);
-      const int j = edge_dst_[e];
+    for (size_t e = edges_.out_start(v); e < edges_.out_start(v + 1); e++) {
+      const int j = edges_.dst(e);
       Bytes raw = net_->Recv(j, v, session_base_ | e);
       DSTRESS_CHECK(raw.size() == payload_bytes);
       const size_t dest_lane = static_cast<size_t>(j) * stride_;
       const size_t dest_word = dest_lane >> 6;
       const int dest_shift = static_cast<int>(dest_lane & 63);
       const size_t dst_row0 =
-          static_cast<size_t>(sb_) + static_cast<size_t>(edge_in_slot_[e]) * mb_;
+          static_cast<size_t>(sb_) + static_cast<size_t>(edges_.in_slot(e)) * mb_;
       bool changed = false;
       for (int r = 0; r < mb_; r++) {
         const uint64_t bits =

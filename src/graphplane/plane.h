@@ -45,7 +45,7 @@
 #include "src/common/bytes.h"
 #include "src/core/vertex_program.h"
 #include "src/core/worker_pool.h"
-#include "src/graph/graph.h"
+#include "src/graph/edge_index.h"
 #include "src/mpc/packed.h"
 #include "src/net/transport.h"
 
@@ -84,10 +84,12 @@ class GraphPlane {
     bool bulk_metered = false;     // last CommunicateStep used bulk metering
   };
 
-  // References must outlive the plane. `update_plan` is the program's
-  // update circuit plan (inputs = state_bits + degree_bound*message_bits
-  // rows, outputs likewise).
-  GraphPlane(const graph::Graph& graph, const core::VertexProgram& program,
+  // References must outlive the plane. `edges` is the graph's mirror-slot
+  // CSR (edge e = edges.out_start(v) + slot is v's slot-th out-edge,
+  // landing in in-slot edges.in_slot(e) of edges.dst(e)). `update_plan` is
+  // the program's update circuit plan (inputs = state_bits +
+  // degree_bound*message_bits rows, outputs likewise).
+  GraphPlane(const graph::EdgeIndex& edges, const core::VertexProgram& program,
              const circuit::EvalPlan& update_plan, core::WorkerPool* pool, net::Transport* net,
              Options options);
 
@@ -145,7 +147,7 @@ class GraphPlane {
   void DeliverDirtyGroups();
   void SendAllEdges();
 
-  const graph::Graph& graph_;
+  const graph::EdgeIndex& edges_;
   const circuit::EvalPlan& update_plan_;
   core::WorkerPool* pool_;
   net::Transport* net_;
@@ -160,14 +162,6 @@ class GraphPlane {
   size_t lanes_ = 0;       // n * P
   size_t words_ = 0;       // ceil(lanes / 64)
   uint64_t group_mask_ = 0;  // low S bits
-
-  // CSR over the graph's Edges() order: edge e = out_start_[v] + slot is
-  // v's slot-th out-edge, landing in in-slot edge_in_slot_[e] of
-  // edge_dst_[e].
-  std::vector<size_t> out_start_;
-  std::vector<int> out_deg_;
-  std::vector<int> edge_dst_;
-  std::vector<int> edge_in_slot_;
 
   // Update-circuit input rows (state + in-slots) over all lanes.
   mpc::PackedShareMatrix in_mat_;

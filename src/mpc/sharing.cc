@@ -43,6 +43,13 @@ BitVector WordToBits(uint64_t value, int bits) {
   return out;
 }
 
+void PutWordBits(BitVector* bits, size_t offset, uint64_t value, int count) {
+  DSTRESS_CHECK(offset + count <= bits->size());
+  for (int i = 0; i < count; i++) {
+    (*bits)[offset + i] = (value >> i) & 1;
+  }
+}
+
 uint64_t BitsToWord(const BitVector& bits, size_t offset, int count) {
   DSTRESS_CHECK(offset + count <= bits.size());
   uint64_t v = 0;

@@ -27,6 +27,9 @@ BitVector ReconstructBits(const std::vector<BitVector>& shares);
 // Little-endian bit (de)composition of integer words, the canonical layout
 // for circuit inputs/outputs.
 BitVector WordToBits(uint64_t value, int bits);
+// In-place WordToBits: writes the low `count` bits of `value` over
+// bits[offset, offset + count).
+void PutWordBits(BitVector* bits, size_t offset, uint64_t value, int count);
 uint64_t BitsToWord(const BitVector& bits, size_t offset, int count);
 // Sign-extended read (two's complement).
 int64_t BitsToSignedWord(const BitVector& bits, size_t offset, int count);

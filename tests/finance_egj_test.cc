@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/finance/workload.h"
+#include "src/graph/edge_index.h"
 #include "src/graph/generators.h"
 
 namespace dstress::finance {
@@ -221,6 +225,193 @@ TEST(EgjWorkloadTest, IssuedSharesAreCapped) {
   }
   for (int v = 0; v < g.num_vertices(); v++) {
     EXPECT_LE(issued[v], 0.85) << v;  // cap 0.8 plus rounding slack
+  }
+}
+
+// --- Flat kernels vs the per-word / neighbor-scan loops they replaced -----
+//
+// ScanEgjInitialStates / ScanEgjSolveFixed are verbatim copies of
+// MakeEgjInitialStates (per-word WordToBits/AppendBits temporaries) and
+// EgjSolveFixed (mirror-slot scan per discount notice) from before they
+// moved onto flat arrays and graph::EdgeIndex.
+
+std::vector<mpc::BitVector> ScanEgjInitialStates(const EgjInstance& instance,
+                                                 const EgjProgramParams& params) {
+  const graph::Graph& g = *instance.graph;
+  const int w = params.format.value_bits;
+  const int d_bound = params.degree_bound;
+  std::vector<mpc::BitVector> states;
+  for (int v = 0; v < g.num_vertices(); v++) {
+    mpc::BitVector state;
+    auto append = [&](uint64_t value) {
+      mpc::AppendBits(&state, mpc::WordToBits(params.format.SaturateValue(value), w));
+    };
+    append(instance.base[v]);
+    append(instance.orig_val[v]);
+    append(instance.orig_val[v]);
+    append(instance.threshold[v]);
+    append(instance.penalty[v]);
+    for (int d = 0; d < d_bound; d++) {
+      append(d < g.InDegree(v) ? instance.insh[v][d] : 0);
+    }
+    for (int d = 0; d < d_bound; d++) {
+      append(d < g.InDegree(v) ? instance.orig_val[g.InNeighbors(v)[d]] : 0);
+    }
+    states.push_back(std::move(state));
+  }
+  return states;
+}
+
+uint64_t ScanEgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& params,
+                           std::vector<uint64_t>* values_out) {
+  const graph::Graph& g = *instance.graph;
+  const int n = g.num_vertices();
+  const int f = params.format.frac_bits;
+  const uint64_t one = params.format.One();
+  const uint64_t max_value = params.format.MaxValue();
+  auto sat = [&](uint64_t v) { return params.format.SaturateValue(v); };
+  std::vector<std::vector<uint64_t>> discount_in(n);
+  for (int v = 0; v < n; v++) {
+    discount_in[v].assign(g.InDegree(v), 0);
+  }
+  std::vector<uint64_t> value(n);
+  for (int v = 0; v < n; v++) {
+    value[v] = sat(instance.orig_val[v]);
+  }
+  for (int step = 0; step <= params.iterations; step++) {
+    for (int v = 0; v < n; v++) {
+      uint64_t acc = sat(instance.base[v]);
+      for (int d = 0; d < g.InDegree(v); d++) {
+        uint64_t discount = std::min(discount_in[v][d], one);
+        uint64_t remain = one - discount;
+        uint64_t nbr_orig = sat(instance.orig_val[g.InNeighbors(v)[d]]);
+        uint64_t nbr_value = (nbr_orig * remain) >> f;
+        uint64_t holding = (sat(instance.insh[v][d]) * nbr_value) >> f;
+        acc += holding;
+      }
+      acc = std::min(acc, max_value);
+      if (acc < sat(instance.threshold[v])) {
+        uint64_t pen = sat(instance.penalty[v]);
+        acc = acc < pen ? 0 : acc - pen;
+      }
+      value[v] = acc;
+    }
+    if (step == params.iterations) {
+      break;
+    }
+    for (int v = 0; v < n; v++) {
+      uint64_t orig = sat(instance.orig_val[v]);
+      uint64_t ratio = orig == 0 ? one : std::min(one, (value[v] << f) / orig);
+      uint64_t discount = one - ratio;
+      for (int s = 0; s < g.OutDegree(v); s++) {
+        int holder = g.OutNeighbors(v)[s];
+        const auto& in = g.InNeighbors(holder);
+        for (size_t slot = 0; slot < in.size(); slot++) {
+          if (in[slot] == v) {
+            discount_in[holder][slot] = discount;
+            break;
+          }
+        }
+      }
+    }
+  }
+  *values_out = value;
+  uint64_t tds = 0;
+  for (int v = 0; v < n; v++) {
+    uint64_t thr = sat(instance.threshold[v]);
+    if (value[v] < thr) {
+      tds += thr - value[v];
+    }
+  }
+  return tds;
+}
+
+// A directed graph whose edges are inserted in random order, so in-lists
+// are not sorted by source; every fourth vertex is left isolated.
+graph::Graph RandomDirectedGraph(int n, int edges, Rng& rng) {
+  graph::Graph g(n);
+  if (n < 2) {
+    return g;
+  }
+  for (int k = 0; k < edges; k++) {
+    int u = static_cast<int>(rng.Below(static_cast<uint64_t>(n)));
+    int v = static_cast<int>(rng.Below(static_cast<uint64_t>(n)));
+    if (u != v && u % 4 != 3 && v % 4 != 3) {
+      g.AddEdge(u, v);
+    }
+  }
+  return g;
+}
+
+TEST(EgjFlatKernelTest, MatchesNeighborScanLoops) {
+  constexpr int kCases = 64;
+  for (int c = 0; c < kCases; c++) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    Rng rng(2000 + c);
+    graph::Graph g(1);
+    switch (c % 4) {
+      case 0:
+        g = RandomDirectedGraph(1 + static_cast<int>(rng.Below(40)), 120, rng);
+        break;
+      case 1:
+        g = graph::GenerateScaleFree(3 + static_cast<int>(rng.Below(60)), 2, rng);
+        break;
+      case 2: {
+        graph::CorePeripheryParams cp;
+        cp.num_vertices = 10 + static_cast<int>(rng.Below(40));
+        cp.core_size = 3 + static_cast<int>(rng.Below(5));
+        g = graph::GenerateCorePeriphery(cp, rng);
+        break;
+      }
+      default:
+        g = graph::GenerateErdosRenyi(2 + static_cast<int>(rng.Below(30)), 0.2, rng);
+        break;
+    }
+    const int n = g.num_vertices();
+    EgjProgramParams params;
+    params.format.value_bits = 10 + static_cast<int>(rng.Below(10));
+    params.format.frac_bits = 4 + static_cast<int>(rng.Below(5));
+    // Padding: the bound is often above the graph's max degree.
+    params.degree_bound = std::max(1, g.MaxDegree()) + static_cast<int>(rng.Below(3));
+    params.iterations = static_cast<int>(rng.Below(9));
+
+    EgjInstance instance;
+    if (c % 3 == 0) {
+      WorkloadParams wp;
+      wp.format = params.format;
+      wp.seed = 77 + c;
+      ShockParams shock;
+      shock.shocked_banks = {0, n / 2};
+      shock.survival = 0.25 * static_cast<double>(c % 4);
+      instance = MakeEgjWorkload(g, wp, shock);
+    } else {
+      // Raw draws up to 4x the format maximum exercise saturation; zero
+      // base assets model shocked banks, zero valuations the ratio guard.
+      const uint64_t cap = 4 * params.format.MaxValue();
+      instance.graph = &g;
+      instance.base.resize(n);
+      instance.orig_val.resize(n);
+      instance.threshold.resize(n);
+      instance.penalty.resize(n);
+      instance.insh.resize(n);
+      for (int v = 0; v < n; v++) {
+        instance.base[v] = rng.Below(4) == 0 ? 0 : rng.Below(cap);
+        instance.orig_val[v] = rng.Below(5) == 0 ? 0 : rng.Below(cap);
+        instance.threshold[v] = rng.Below(cap);
+        instance.penalty[v] = rng.Below(cap / 2);
+        for (int d = 0; d < g.InDegree(v); d++) {
+          instance.insh[v].push_back(rng.Below(params.format.One() + 1));
+        }
+      }
+    }
+
+    EXPECT_EQ(MakeEgjInitialStates(instance, params), ScanEgjInitialStates(instance, params));
+    std::vector<uint64_t> scan_values, flat_values, local_values;
+    const uint64_t scan_tds = ScanEgjSolveFixed(instance, params, &scan_values);
+    EXPECT_EQ(EgjSolveFixed(instance, params, graph::EdgeIndex(g), &flat_values), scan_tds);
+    EXPECT_EQ(flat_values, scan_values);
+    EXPECT_EQ(EgjSolveFixed(instance, params, &local_values), scan_tds);
+    EXPECT_EQ(local_values, scan_values);
   }
 }
 

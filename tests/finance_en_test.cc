@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/finance/workload.h"
+#include "src/graph/edge_index.h"
 #include "src/graph/generators.h"
 
 namespace dstress::finance {
@@ -255,6 +259,197 @@ TEST(EnWorkloadTest, ShockZeroesCash) {
   EXPECT_EQ(instance.cash[3], 0u);
   EXPECT_EQ(instance.cash[4], 0u);
   EXPECT_GT(instance.cash[0], 0u);
+}
+
+// --- Flat kernels vs the neighbor-scan loops they replaced ----------------
+//
+// ScanEnInitialStates / ScanEnSolveFixed are verbatim copies of the
+// per-visit mirror-slot scans MakeEnInitialStates / EnSolveFixed ran before
+// they moved onto graph::EdgeIndex. The differential test below checks the
+// flat kernels against them bit for bit.
+
+std::vector<BitVector> ScanEnInitialStates(const EnInstance& instance,
+                                           const EnProgramParams& params) {
+  const graph::Graph& g = *instance.graph;
+  const int w = params.format.value_bits;
+  const int d_bound = params.degree_bound;
+  std::vector<BitVector> states;
+  for (int v = 0; v < g.num_vertices(); v++) {
+    BitVector state;
+    AppendBits(&state, mpc::WordToBits(params.format.SaturateValue(instance.cash[v]), w));
+    AppendBits(&state, mpc::WordToBits(params.format.SaturateValue(instance.TotalDebtOf(v)), w));
+    AppendBits(&state, mpc::WordToBits(params.format.One(), w));
+    for (int d = 0; d < d_bound; d++) {
+      uint64_t debt =
+          d < g.OutDegree(v) ? params.format.SaturateValue(instance.debts[v][d]) : 0;
+      AppendBits(&state, mpc::WordToBits(debt, w));
+    }
+    for (int d = 0; d < d_bound; d++) {
+      uint64_t credit = 0;
+      if (d < g.InDegree(v)) {
+        int j = g.InNeighbors(v)[d];
+        const auto& out = g.OutNeighbors(j);
+        for (size_t s = 0; s < out.size(); s++) {
+          if (out[s] == v) {
+            credit = params.format.SaturateValue(instance.debts[j][s]);
+            break;
+          }
+        }
+      }
+      AppendBits(&state, mpc::WordToBits(credit, w));
+    }
+    states.push_back(std::move(state));
+  }
+  return states;
+}
+
+uint64_t ScanEnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
+                          std::vector<uint64_t>* prorate_out) {
+  const graph::Graph& g = *instance.graph;
+  const int n = g.num_vertices();
+  const uint64_t one = params.format.One();
+  const uint64_t max_value = params.format.MaxValue();
+  std::vector<uint64_t> cash(n), total_debt(n);
+  for (int v = 0; v < n; v++) {
+    cash[v] = params.format.SaturateValue(instance.cash[v]);
+    total_debt[v] = params.format.SaturateValue(instance.TotalDebtOf(v));
+  }
+  std::vector<std::vector<uint64_t>> shortfall_in(n);
+  for (int v = 0; v < n; v++) {
+    shortfall_in[v].assign(g.InDegree(v), 0);
+  }
+  std::vector<uint64_t> prorate(n, one);
+  for (int step = 0; step <= params.iterations; step++) {
+    for (int v = 0; v < n; v++) {
+      uint64_t liquid = cash[v];
+      for (int d = 0; d < g.InDegree(v); d++) {
+        int j = g.InNeighbors(v)[d];
+        uint64_t credit = 0;
+        const auto& out = g.OutNeighbors(j);
+        for (size_t s = 0; s < out.size(); s++) {
+          if (out[s] == v) {
+            credit = params.format.SaturateValue(instance.debts[j][s]);
+            break;
+          }
+        }
+        uint64_t paid = shortfall_in[v][d] > credit ? 0 : credit - shortfall_in[v][d];
+        liquid += paid;
+      }
+      liquid = std::min(liquid, max_value);
+      uint64_t ratio = total_debt[v] == 0 ? one : (liquid << params.format.frac_bits) /
+                                                      total_debt[v];
+      prorate[v] = std::min(ratio, one);
+    }
+    if (step == params.iterations) {
+      break;
+    }
+    for (int v = 0; v < n; v++) {
+      uint64_t unpaid_frac = one - prorate[v];
+      for (int s = 0; s < g.OutDegree(v); s++) {
+        int j = g.OutNeighbors(v)[s];
+        uint64_t debt = params.format.SaturateValue(instance.debts[v][s]);
+        uint64_t shortfall = (debt * unpaid_frac) >> params.format.frac_bits;
+        const auto& in = g.InNeighbors(j);
+        for (size_t slot = 0; slot < in.size(); slot++) {
+          if (in[slot] == v) {
+            shortfall_in[j][slot] = shortfall;
+            break;
+          }
+        }
+      }
+    }
+  }
+  *prorate_out = prorate;
+  uint64_t tds = 0;
+  for (int v = 0; v < n; v++) {
+    tds += (total_debt[v] * (one - prorate[v])) >> params.format.frac_bits;
+  }
+  return tds;
+}
+
+// A directed graph whose edges are inserted in random order, so in-lists
+// are not sorted by source; every fourth vertex is left isolated.
+graph::Graph RandomDirectedGraph(int n, int edges, Rng& rng) {
+  graph::Graph g(n);
+  if (n < 2) {
+    return g;
+  }
+  for (int k = 0; k < edges; k++) {
+    int u = static_cast<int>(rng.Below(static_cast<uint64_t>(n)));
+    int v = static_cast<int>(rng.Below(static_cast<uint64_t>(n)));
+    if (u != v && u % 4 != 3 && v % 4 != 3) {
+      g.AddEdge(u, v);
+    }
+  }
+  return g;
+}
+
+TEST(EnFlatKernelTest, MatchesNeighborScanLoops) {
+  constexpr int kCases = 64;
+  for (int c = 0; c < kCases; c++) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    Rng rng(1000 + c);
+    graph::Graph g(1);
+    switch (c % 4) {
+      case 0:
+        g = RandomDirectedGraph(1 + static_cast<int>(rng.Below(40)), 120, rng);
+        break;
+      case 1:
+        g = graph::GenerateScaleFree(3 + static_cast<int>(rng.Below(60)), 2, rng);
+        break;
+      case 2: {
+        graph::CorePeripheryParams cp;
+        cp.num_vertices = 10 + static_cast<int>(rng.Below(40));
+        cp.core_size = 3 + static_cast<int>(rng.Below(5));
+        g = graph::GenerateCorePeriphery(cp, rng);
+        break;
+      }
+      default:
+        g = graph::GenerateErdosRenyi(2 + static_cast<int>(rng.Below(30)), 0.2, rng);
+        break;
+    }
+    const int n = g.num_vertices();
+    EnProgramParams params;
+    params.format.value_bits = 10 + static_cast<int>(rng.Below(10));
+    params.format.frac_bits = 4 + static_cast<int>(rng.Below(5));
+    // Padding: the bound is often above the graph's max degree.
+    params.degree_bound = std::max(1, g.MaxDegree()) + static_cast<int>(rng.Below(3));
+    params.iterations = static_cast<int>(rng.Below(9));
+
+    EnInstance instance;
+    if (c % 3 == 0) {
+      WorkloadParams wp;
+      wp.format = params.format;
+      wp.seed = 77 + c;
+      ShockParams shock;
+      shock.shocked_banks = {0, n / 2};
+      shock.survival = 0.25 * static_cast<double>(c % 4);
+      instance = MakeEnWorkload(g, wp, shock);
+    } else {
+      // Raw draws up to 4x the format maximum exercise saturation; zero
+      // cash models shocked banks and zero debts debt-free banks.
+      const uint64_t cap = 4 * params.format.MaxValue();
+      instance.graph = &g;
+      instance.cash.resize(n);
+      instance.debts.resize(n);
+      for (int v = 0; v < n; v++) {
+        instance.cash[v] = rng.Below(4) == 0 ? 0 : rng.Below(cap);
+        for (int s = 0; s < g.OutDegree(v); s++) {
+          instance.debts[v].push_back(rng.Below(3) == 0 ? 0 : rng.Below(cap / 8 + 1));
+        }
+      }
+    }
+
+    EXPECT_EQ(MakeEnInitialStates(instance, params), ScanEnInitialStates(instance, params));
+    std::vector<uint64_t> scan_prorate, flat_prorate, local_prorate;
+    const uint64_t scan_tds = ScanEnSolveFixed(instance, params, &scan_prorate);
+    const graph::EdgeIndex index(g);
+    EXPECT_EQ(EnSolveFixed(instance, params, index, &flat_prorate), scan_tds);
+    EXPECT_EQ(flat_prorate, scan_prorate);
+    EXPECT_EQ(EnSolveFixed(instance, params, &local_prorate), scan_tds);
+    EXPECT_EQ(local_prorate, scan_prorate);
+    EXPECT_EQ(MakeEnInitialStates(instance, params, index), ScanEnInitialStates(instance, params));
+  }
 }
 
 }  // namespace

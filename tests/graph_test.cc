@@ -2,6 +2,7 @@
 
 #include <queue>
 
+#include "src/graph/edge_index.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 
@@ -149,6 +150,90 @@ TEST(GeneratorsTest, CapDegreeEnforcesBound) {
   for (auto [u, v] : capped.Edges()) {
     EXPECT_TRUE(g.HasEdge(u, v));
   }
+}
+
+// The index's CSR order is Edges() order, and every edge's mirror slot
+// points back at its source: InNeighbors(dst(e))[in_slot(e)] == src(e).
+void ExpectIndexMirrorsGraph(const Graph& g) {
+  EdgeIndex index(g);
+  ASSERT_EQ(index.num_vertices(), g.num_vertices());
+  ASSERT_EQ(index.num_edges(), static_cast<size_t>(g.num_edges()));
+  const std::vector<std::pair<int, int>> edges = g.Edges();
+  size_t in_slots = 0;
+  for (int v = 0; v < g.num_vertices(); v++) {
+    EXPECT_EQ(index.out_degree(v), g.OutDegree(v)) << "vertex " << v;
+    EXPECT_EQ(index.in_degree(v), g.InDegree(v)) << "vertex " << v;
+    EXPECT_EQ(index.in_start(v), in_slots) << "vertex " << v;
+    in_slots += static_cast<size_t>(g.InDegree(v));
+    for (size_t e = index.out_start(v); e < index.out_start(v + 1); e++) {
+      ASSERT_LT(e, edges.size());
+      EXPECT_EQ(edges[e].first, v) << "edge " << e;
+      EXPECT_EQ(edges[e].second, index.dst(e)) << "edge " << e;
+      const std::vector<int>& in = g.InNeighbors(index.dst(e));
+      ASSERT_GE(index.in_slot(e), 0) << "edge " << e;
+      ASSERT_LT(static_cast<size_t>(index.in_slot(e)), in.size()) << "edge " << e;
+      EXPECT_EQ(in[static_cast<size_t>(index.in_slot(e))], v) << "edge " << e;
+      EXPECT_EQ(index.in_flat(e), index.in_start(index.dst(e)) +
+                                      static_cast<size_t>(index.in_slot(e)));
+    }
+  }
+  EXPECT_EQ(index.out_start(g.num_vertices()), edges.size());
+  EXPECT_EQ(index.in_start(g.num_vertices()), in_slots);
+  // Every flat in-slot is written by exactly one edge.
+  std::vector<int> writers(in_slots, 0);
+  for (size_t e = 0; e < index.num_edges(); e++) {
+    writers[index.in_flat(e)]++;
+  }
+  for (size_t k = 0; k < in_slots; k++) {
+    EXPECT_EQ(writers[k], 1) << "flat in-slot " << k;
+  }
+}
+
+TEST(EdgeIndexTest, MirrorsGeneratedGraphs) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    SCOPED_TRACE(seed);
+    ExpectIndexMirrorsGraph(GenerateScaleFree(300, 3, rng));
+    ExpectIndexMirrorsGraph(CapDegree(GenerateScaleFree(300, 3, rng), 8));
+    CorePeripheryParams params;
+    params.num_vertices = 120;
+    params.core_size = 15;
+    ExpectIndexMirrorsGraph(GenerateCorePeriphery(params, rng));
+    ExpectIndexMirrorsGraph(GenerateErdosRenyi(80, 0.1, rng));
+  }
+}
+
+TEST(EdgeIndexTest, InsertionOrderIsNotSourceOrder) {
+  // In-lists follow AddEdge order, so a vertex's in-slots need not be
+  // sorted by source: 3 hears from 2, then 0, then 1.
+  Graph g(4);
+  g.AddEdge(2, 3);
+  g.AddEdge(0, 3);
+  g.AddEdge(1, 3);
+  g.AddEdge(3, 0);
+  g.AddEdge(0, 1);
+  ExpectIndexMirrorsGraph(g);
+  EdgeIndex index(g);
+  // Edges() order: (0,3) (0,1) (1,3) (2,3) (3,0).
+  EXPECT_EQ(index.in_slot(0), 1);
+  EXPECT_EQ(index.in_slot(2), 2);
+  EXPECT_EQ(index.in_slot(3), 0);
+}
+
+TEST(EdgeIndexTest, SingleVertexAndIsolatedVertices) {
+  ExpectIndexMirrorsGraph(Graph(1));
+  EdgeIndex single{Graph(1)};
+  EXPECT_EQ(single.num_edges(), 0u);
+  EXPECT_EQ(single.out_degree(0), 0);
+  EXPECT_EQ(single.in_degree(0), 0);
+
+  // Vertices 0, 2 and 5 have no edges at all.
+  Graph g(6);
+  g.AddEdge(4, 1);
+  g.AddEdge(1, 3);
+  g.AddEdge(3, 4);
+  g.AddEdge(1, 4);
+  ExpectIndexMirrorsGraph(g);
 }
 
 class CorePeripherySizeTest : public ::testing::TestWithParam<int> {};

@@ -356,7 +356,8 @@ TEST(GraphPlaneFrontierTest, WordsDeactivateAndReactivateOnDelivery) {
   circuit::EvalPlan plan(update);
   core::WorkerPool pool(2);
   net::SimNetwork net(n);
-  graphplane::GraphPlane plane(g, program, plan, &pool, &net, {});
+  graph::EdgeIndex edges(g);
+  graphplane::GraphPlane plane(edges, program, plan, &pool, &net, {});
 
   plane.Reset();
   std::vector<mpc::BitVector> states(n, mpc::BitVector(4, 0));
@@ -433,7 +434,8 @@ TEST(GraphPlaneFrontierTest, EnsembleLanesConvergeIndependently) {
   graphplane::GraphPlane::Options options;
   options.num_scenarios = kScenarios;
   options.stride = kStride;
-  graphplane::GraphPlane plane(g, program, plan, &pool, &net, options);
+  graph::EdgeIndex edges(g);
+  graphplane::GraphPlane plane(edges, program, plan, &pool, &net, options);
 
   plane.Reset();
   for (int v = 0; v < n; v++) {

@@ -24,6 +24,12 @@ must finish within that absolute wall-clock budget. When the run produced no
 such row (e.g. a reduced grid), the gate prints a named SKIP instead of
 passing silently.
 
+With --cleartext-max-e2e-ms the same N >= 1,000,000 `cleartext` rows must
+also finish end to end — Engine construction (graph, workload, initial
+states, reference solve) plus the first run, the row's e2e_ms — within
+that budget (ROADMAP item 2). It sits beside the wall-clock gate, never in
+place of it; a row with a missing or non-numeric e2e_ms is a FAILURE.
+
 Row hygiene: a row whose wall_ms_baseline is 0 is SKIPPED by name (a zero
 baseline means "no baseline measured this run", and dividing by it would
 crash the gate); a row with missing or non-numeric wall_ms / wall_ms_baseline
@@ -38,6 +44,7 @@ Usage: tools/check_bench.py BENCH_fig6.json [--min-speedup 5.0]
                                             [--ensemble-min-speedup 10.0]
                                             [--ot-min-speedup 3.0]
                                             [--cleartext-max-wall-ms 10000]
+                                            [--cleartext-max-e2e-ms 12000]
 Exit status 0 = every gated row at or above its floor; nonzero prints each
 offending row. Stdlib only.
 """
@@ -99,6 +106,10 @@ def main() -> int:
     parser.add_argument("--cleartext-max-wall-ms", type=float, default=None,
                         help="when set, every 'cleartext' row with N >= 1e6 "
                              "must finish within this wall-clock budget (ms)")
+    parser.add_argument("--cleartext-max-e2e-ms", type=float, default=None,
+                        help="when set, every 'cleartext' row with N >= 1e6 "
+                             "must finish end to end (setup + run, e2e_ms) "
+                             "within this budget (ms)")
     args = parser.parse_args()
 
     with open(args.bench_json) as f:
@@ -169,28 +180,31 @@ def main() -> int:
                 skips.append(f"ot: {len(ot_rows)} rows, worst {speedup:.2f}x "
                              f"factory speedup at N={e.get('N')}")
 
-    # Absolute wall-clock budget for the arena graph plane's large-N sweep
-    # point (ROADMAP item 3: N=1M in single-digit seconds).
-    if args.cleartext_max_wall_ms is not None:
-        million_rows = [e for e in entries
-                        if e.get("mode") == "cleartext"
-                        and is_number(e.get("N")) and e.get("N") >= 1_000_000]
+    # Absolute budgets for the arena graph plane's large-N sweep point: the
+    # run's wall clock (ROADMAP item 3: N=1M in single-digit seconds) and
+    # the end-to-end time from spec to released figure (ROADMAP item 2).
+    million_rows = [e for e in entries
+                    if e.get("mode") == "cleartext"
+                    and is_number(e.get("N")) and e.get("N") >= 1_000_000]
+    for field, budget, what in (("wall_ms", args.cleartext_max_wall_ms, "wall-clock"),
+                                ("e2e_ms", args.cleartext_max_e2e_ms, "end-to-end")):
+        if budget is None:
+            continue
         if not million_rows:
             skips.append("SKIP: no 'cleartext' row with N >= 1,000,000 in "
-                         f"{args.bench_json}; wall-clock gate not applied "
+                         f"{args.bench_json}; {what} gate not applied "
                          "(reduced sweep grid?)")
         for e in million_rows:
-            wall = e.get("wall_ms")
-            if not is_number(wall) or wall <= 0:
+            value = e.get(field)
+            if not is_number(value) or value <= 0:
                 failures.append(f"FAIL: {row_name(e, 'cleartext')}: "
-                                f"malformed wall_ms {wall!r}")
-            elif wall > args.cleartext_max_wall_ms:
-                failures.append(f"FAIL: {row_name(e, 'cleartext')}: "
-                                f"{wall:.0f} ms > "
-                                f"{args.cleartext_max_wall_ms:.0f} ms budget")
+                                f"malformed {field} {value!r}")
+            elif value > budget:
+                failures.append(f"FAIL: {row_name(e, 'cleartext')}: {field} "
+                                f"{value:.0f} ms > {budget:.0f} ms budget")
             else:
-                print(f"cleartext: N={e.get('N')} in {wall:.0f} ms "
-                      f"(budget {args.cleartext_max_wall_ms:.0f} ms)")
+                print(f"cleartext: N={e.get('N')} {what} {value:.0f} ms "
+                      f"(budget {budget:.0f} ms)")
 
     for line in skips:
         print(line)
