@@ -252,7 +252,7 @@ void Runtime::EnqueueAggregateWave(int num_scenarios) {
     triple_factory_->Enqueue(std::move(demands));
     return;
   }
-  // Tree aggregation (solo runs only — RunEnsemble requires fanout 0).
+  // Tree aggregation (solo runs only — RunLanes requires fanout 0 at S > 1).
   // Re-derive the level structure exactly as AggregateTree will: same
   // RolePrg(0x55, 0) block stream, same per-size circuits, so the demand
   // tags and counts line up with what each tree role draws.
@@ -886,109 +886,17 @@ int64_t Runtime::AggregatePhase() {
   return AggregateSingleLevel();
 }
 
-int64_t Runtime::Run(const std::vector<mpc::BitVector>& initial_states, RunMetrics* metrics) {
-  DSTRESS_CHECK(static_cast<int>(initial_states.size()) == graph_.num_vertices());
-  RunMetrics local;
-  RunMetrics* m = metrics != nullptr ? metrics : &local;
-  *m = RunMetrics{};
-  m->iterations = program_.iterations;
-  m->update_and_gates = update_circuit_.stats().num_and;
-  m->update_and_depth = update_circuit_.stats().and_depth;
-  triples_consumed_.store(0, std::memory_order_relaxed);
-  compute_rounds_.store(0, std::memory_order_relaxed);
-
-  Stopwatch total;
-  uint64_t bytes_before = net_->TotalBytes();
-  uint64_t base_ots_before = ot::BaseOtExecutionCount();
-  mpc::TripleFactoryStats factory_before;
-  if (triple_factory_ != nullptr) {
-    factory_before = triple_factory_->stats();
-  }
-
-  // Offline wave for the first computation step; the per-iteration
-  // enqueues below keep the factory one phase ahead of the online plane.
-  EnqueueComputeWave(/*num_scenarios=*/1);
-
-  Stopwatch phase;
-  int start_iteration = 0;
-  if (config_.resume) {
-    // Rejoin at the checkpointed iteration barrier: the share arrays and
-    // dealer tapes replace the init phase (docs/ha.md).
-    start_iteration = RestoreCheckpoint();
-    m->resumed_from_iteration = start_iteration;
-    m->init.seconds = phase.ElapsedSeconds();
-  } else {
-    InitPhase({initial_states});
-    m->init.seconds = phase.ElapsedSeconds();
-    m->init.bytes = net_->TotalBytes() - bytes_before;
-  }
-
-  uint64_t phase_bytes = net_->TotalBytes();
-  for (int iter = start_iteration; iter < program_.iterations; iter++) {
-    // Prefetch the NEXT computation step's triples (the loop's next
-    // iteration, or the final step after it) while this iteration's online
-    // phases evaluate.
-    EnqueueComputeWave(/*num_scenarios=*/1);
-
-    phase.Reset();
-    ComputePhase(/*num_scenarios=*/1);
-    m->compute.seconds += phase.ElapsedSeconds();
-    m->compute.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
-
-    phase.Reset();
-    CommunicatePhase(/*scenario=*/0);
-    m->communicate.seconds += phase.ElapsedSeconds();
-    m->communicate.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
-
-    if (config_.checkpoint_every > 0 && (iter + 1) % config_.checkpoint_every == 0) {
-      SaveCheckpoint(iter + 1, m);
-    }
-  }
-  // Final computation step (§3.6). Its triples were enqueued by the last
-  // loop iteration (or the pre-loop enqueue when iterations == 0); the
-  // aggregation wave overlaps this step.
-  EnqueueAggregateWave(/*num_scenarios=*/1);
-  phase.Reset();
-  ComputePhase(/*num_scenarios=*/1);
-  m->compute.seconds += phase.ElapsedSeconds();
-  m->compute.bytes += net_->TotalBytes() - phase_bytes;
-  phase_bytes = net_->TotalBytes();
-
-  phase.Reset();
-  last_aggregate_ands_ = 0;
-  int64_t result = AggregatePhase();
-  m->aggregate_and_gates = last_aggregate_ands_;
-  m->aggregate.seconds = phase.ElapsedSeconds();
-  m->aggregate.bytes = net_->TotalBytes() - phase_bytes;
-
-  m->total_seconds = total.ElapsedSeconds();
-  m->total_bytes = net_->TotalBytes() - bytes_before;
-  m->avg_bytes_per_node = static_cast<double>(m->total_bytes) / graph_.num_vertices();
-  m->update_rounds = compute_rounds_.load(std::memory_order_relaxed);
-  m->triples_consumed = triples_consumed_.load(std::memory_order_relaxed);
-  m->ha_control_bytes = net_->HaControlBytes();
-  m->ha_resumes = net_->HaResumeCount();
-  m->base_ot_executions = ot::BaseOtExecutionCount() - base_ots_before;
-  if (triple_factory_ != nullptr) {
-    mpc::TripleFactoryStats fs = triple_factory_->stats();
-    m->offline_seconds = fs.offline_seconds - factory_before.offline_seconds;
-    m->offline_wait_seconds = fs.online_wait_seconds - factory_before.online_wait_seconds;
-  }
-  return result;
-}
-
-// --- scenario ensemble (RunEnsemble) ---------------------------------------
+// --- the lane loop (RunLanes) -----------------------------------------------
 //
-// S scenarios advance in lockstep as extra lanes of the batched planes:
-// role (s, v) lives at flat share index s*n + v, compute phases batch all
-// S*n vertex instances into one EvalBatchInstances pass, transfers reuse the
-// scenario-salted CommunicatePhase, and a single batched aggregation
-// opens S noised figures. Scenario s's released figure equals
-// Run(initial_states[s]): init-share and transfer randomness cancel out of
-// opened values, and the aggregation noise is drawn from the same
-// (kNoiseRoleTag, m) streams every solo run uses.
+// S scenarios advance in lockstep as lanes of the batched planes: role
+// (s, v) lives at flat share index s*n + v, compute phases batch all S*n
+// vertex instances into one EvalBatchInstances pass, transfers run the
+// scenario-salted CommunicatePhase per lane, and aggregation opens S noised
+// figures (AggregatePhase for the solo lane, one batched flat aggregation
+// for S > 1). Lane s's released figure equals a solo run of its states:
+// init-share and transfer randomness cancel out of opened values, and the
+// aggregation noise is drawn from the same (kNoiseRoleTag, m) streams every
+// solo run uses.
 
 std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
   const int n = graph_.num_vertices();
@@ -1082,19 +990,22 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
   return results;
 }
 
-std::vector<int64_t> Runtime::RunEnsemble(
-    const std::vector<std::vector<mpc::BitVector>>& initial_states, RunMetrics* metrics) {
-  const int num_scenarios = static_cast<int>(initial_states.size());
+int64_t Runtime::Run(const std::vector<mpc::BitVector>& initial_states, RunMetrics* metrics) {
+  return RunLanes({initial_states}, metrics)[0];
+}
+
+std::vector<int64_t> Runtime::RunLanes(const std::vector<std::vector<mpc::BitVector>>& lanes,
+                                       RunMetrics* metrics) {
+  const int num_scenarios = static_cast<int>(lanes.size());
   DSTRESS_CHECK(num_scenarios > 0);
-  if (num_scenarios == 1) {
-    // Width-1 ensemble == solo run, traffic included.
-    RunMetrics local;
-    RunMetrics* m = metrics != nullptr ? metrics : &local;
-    return {Run(initial_states[0], m)};
+  for (const std::vector<mpc::BitVector>& states : lanes) {
+    DSTRESS_CHECK(static_cast<int>(states.size()) == graph_.num_vertices());
   }
-  // S > 1 aggregates all scenarios through the flat batched aggregation;
-  // the tree variant has no ensemble schedule.
-  DSTRESS_CHECK(config_.aggregation_fanout == 0);
+  // A solo run may checkpoint, resume and aggregate through a tree; S > 1
+  // aggregates all lanes through the flat batched aggregation, which has
+  // no tree variant, and is never checkpointed.
+  const bool solo = num_scenarios == 1;
+  DSTRESS_CHECK(solo || config_.aggregation_fanout == 0);
 
   RunMetrics local;
   RunMetrics* m = metrics != nullptr ? metrics : &local;
@@ -1113,46 +1024,61 @@ std::vector<int64_t> Runtime::RunEnsemble(
     factory_before = triple_factory_->stats();
   }
 
-  // Offline wave for the first computation step (all S lanes at once);
-  // same prefetch schedule as Run().
+  // Offline wave for the first computation step (all S lanes at once); the
+  // per-iteration enqueues below keep the factory one phase ahead of the
+  // online plane.
   EnqueueComputeWave(num_scenarios);
 
   Stopwatch phase;
-  InitPhase(initial_states);
-  m->init.seconds = phase.ElapsedSeconds();
-  m->init.bytes = net_->TotalBytes() - bytes_before;
-
-  uint64_t phase_bytes = net_->TotalBytes();
-  for (int iter = 0; iter < program_.iterations; iter++) {
-    EnqueueComputeWave(num_scenarios);
-
-    phase.Reset();
-    ComputePhase(num_scenarios);
-    m->compute.seconds += phase.ElapsedSeconds();
-    m->compute.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
-
-    phase.Reset();
-    for (int s = 0; s < num_scenarios; s++) {
-      CommunicatePhase(s);
-    }
-    m->communicate.seconds += phase.ElapsedSeconds();
-    m->communicate.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
+  int start_iteration = 0;
+  if (solo && config_.resume) {
+    // Rejoin at the checkpointed iteration barrier: the share arrays and
+    // dealer tapes replace the init phase (docs/ha.md).
+    start_iteration = RestoreCheckpoint();
+    m->resumed_from_iteration = start_iteration;
+    m->init.seconds = phase.ElapsedSeconds();
+  } else {
+    InitPhase(lanes);
+    m->init.seconds = phase.ElapsedSeconds();
+    m->init.bytes = net_->TotalBytes() - bytes_before;
   }
-  EnqueueAggregateWave(num_scenarios);
-  phase.Reset();
-  ComputePhase(num_scenarios);
-  m->compute.seconds += phase.ElapsedSeconds();
-  m->compute.bytes += net_->TotalBytes() - phase_bytes;
-  phase_bytes = net_->TotalBytes();
 
-  phase.Reset();
+  // Times one phase into `pm`. Bytes count from the end of the previous
+  // phase, so traffic between phases lands in the next one.
+  uint64_t phase_bytes = net_->TotalBytes();
+  auto run_phase = [&](PhaseMetrics* pm, const std::function<void()>& step) {
+    Stopwatch phase;
+    step();
+    pm->seconds += phase.ElapsedSeconds();
+    pm->bytes += net_->TotalBytes() - phase_bytes;
+    phase_bytes = net_->TotalBytes();
+  };
+  for (int iter = start_iteration; iter < program_.iterations; iter++) {
+    // Prefetch the NEXT computation step's triples (the loop's next
+    // iteration, or the final step after it) while this iteration's online
+    // phases evaluate.
+    EnqueueComputeWave(num_scenarios);
+    run_phase(&m->compute, [&] { ComputePhase(num_scenarios); });
+    run_phase(&m->communicate, [&] {
+      for (int s = 0; s < num_scenarios; s++) {
+        CommunicatePhase(s);
+      }
+    });
+    if (solo && config_.checkpoint_every > 0 && (iter + 1) % config_.checkpoint_every == 0) {
+      SaveCheckpoint(iter + 1, m);
+    }
+  }
+  // Final computation step (§3.6). Its triples were enqueued by the last
+  // loop iteration (or the pre-loop enqueue when iterations == 0); the
+  // aggregation wave overlaps this step.
+  EnqueueAggregateWave(num_scenarios);
+  run_phase(&m->compute, [&] { ComputePhase(num_scenarios); });
+  std::vector<int64_t> results;
   last_aggregate_ands_ = 0;
-  std::vector<int64_t> results = AggregateEnsemble(num_scenarios);
+  run_phase(&m->aggregate, [&] {
+    results = solo ? std::vector<int64_t>{AggregatePhase()} : AggregateEnsemble(num_scenarios);
+  });
   m->aggregate_and_gates = last_aggregate_ands_;
-  m->aggregate.seconds = phase.ElapsedSeconds();
-  m->aggregate.bytes = net_->TotalBytes() - phase_bytes;
 
   m->total_seconds = total.ElapsedSeconds();
   m->total_bytes = net_->TotalBytes() - bytes_before;

@@ -114,8 +114,8 @@ struct RuntimeConfig {
   // Which wire carries the run (resolved via net::MakeTransport; "sim" or
   // "tcp" built in). The runtime never names a concrete transport type.
   net::TransportSpec transport;
-  // Largest scenario count Runtime::RunEnsemble will be called with (1 =
-  // solo runs only). Only scales the auto-sized dlog-table failure budget:
+  // Largest lane count Runtime::RunLanes will be called with (1 = solo
+  // runs only). Only scales the auto-sized dlog-table failure budget:
   // an ensemble multiplies the transfer draws per run by its width.
   int ensemble_width = 1;
   uint64_t seed = 1;
@@ -123,7 +123,7 @@ struct RuntimeConfig {
   // >0: Run() snapshots its phase state to checkpoint_path after every
   // `checkpoint_every`-th communication step (an iteration barrier).
   // Requires use_ot_triples == false (OT sessions hold unrewindable
-  // cross-process state) and applies to solo Run() only, not RunEnsemble.
+  // cross-process state) and applies to solo (one-lane) runs only.
   int checkpoint_every = 0;
   std::string checkpoint_path;
   // Resume Run() from checkpoint_path instead of starting at iteration 0:
@@ -197,23 +197,22 @@ class Runtime {
   Runtime(const RuntimeConfig& config, const graph::Graph& graph, const VertexProgram& program);
   ~Runtime();
 
-  // Executes the program on the given initial states (one state_bits-wide
-  // bit vector per vertex, held by that vertex's node). Returns the noised
-  // aggregate as a signed integer. Reusable: each call is an independent
-  // run (state is re-initialized), but OT/triple sessions persist.
-  int64_t Run(const std::vector<mpc::BitVector>& initial_states, RunMetrics* metrics);
+  // Executes the program on S lanes of initial states (lanes[s][v] =
+  // scenario s's state_bits-wide state for vertex v, held by that vertex's
+  // node) in one lockstep pass — every batched phase carries all S lanes
+  // as extra instances of the same EvalBatchInstances / per-edge transfer
+  // batches — and opens S noised aggregates. Lane s's figure is identical
+  // to a one-lane run of lanes[s]: per-lane PRG roles (init shares,
+  // transfer masks, aggregation noise) reproduce the solo streams. A solo
+  // run is S = 1, the only width that checkpoints, resumes and may
+  // aggregate through a tree; S > 1 requires aggregation_fanout == 0.
+  // Reusable: each call is an independent run (state is re-initialized),
+  // but OT/triple sessions persist.
+  std::vector<int64_t> RunLanes(const std::vector<std::vector<mpc::BitVector>>& lanes,
+                                RunMetrics* metrics);
 
-  // Scenario-ensemble run: S independent programs (initial_states[s][v] =
-  // scenario s's state for vertex v) advance in one lockstep pass — every
-  // batched phase carries all S scenarios as extra lanes of the same
-  // EvalBatchInstances / per-edge transfer batches — and S noised
-  // aggregates are opened. Scenario s's figure is identical to
-  // Run(initial_states[s]): per-scenario PRG roles (init shares, transfer
-  // masks, aggregation noise) reproduce the solo streams, and S == 1
-  // delegates to Run() outright (bit-identical traffic included). S > 1
-  // requires aggregation_fanout == 0 (flat aggregation).
-  std::vector<int64_t> RunEnsemble(const std::vector<std::vector<mpc::BitVector>>& initial_states,
-                                   RunMetrics* metrics);
+  // The solo run: RunLanes over one lane, returning its figure.
+  int64_t Run(const std::vector<mpc::BitVector>& initial_states, RunMetrics* metrics);
 
   const net::Transport& network() const { return *net_; }
   // Attaches a NetworkObserver (e.g. an audit::TranscriptRecorder; nullptr
@@ -242,7 +241,7 @@ class Runtime {
   int64_t AggregateSingleLevel();
   int64_t AggregateTree();
 
-  // Ensemble aggregation (RunEnsemble, S > 1): one batched flat
+  // Multi-lane aggregation (RunLanes, S > 1): one batched flat
   // aggregation opens all S noised figures.
   std::vector<int64_t> AggregateEnsemble(int num_scenarios);
 
@@ -331,14 +330,17 @@ class Runtime {
   // [vertex][out_slot][member]
   std::vector<std::vector<std::vector<mpc::BitVector>>> outmsg_shares_;
 
+  // The IKNP session cache the per-role OT path uses so regenerated roles
+  // reuse their base-OT setup. Declared before triple_sources_ so it
+  // outlives them: a per-role source hands its sessions back on
+  // destruction.
+  mpc::IknpSessionCache iknp_cache_;
   // Persistent triple sources keyed by (vertex or agg tag, member index).
   std::map<std::pair<uint64_t, int>, std::unique_ptr<mpc::TripleSource>> triple_sources_;
   std::mutex triple_mu_;
   // Offline phase (use_ot_triples && ot_batching): the node-pair triple
-  // factory, plus the IKNP session cache the legacy per-role path uses so
-  // regenerated roles reuse their base-OT setup.
+  // factory.
   std::unique_ptr<mpc::TripleFactory> triple_factory_;
-  mpc::IknpSessionCache iknp_cache_;
 
   std::vector<std::pair<int, int>> edges_;
   int threads_target_ = 0;

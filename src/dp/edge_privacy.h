@@ -50,8 +50,10 @@ double MaxAlphaForFailureBudget(int64_t lookup_entries, double total_transfers);
 // Inverse of FailureProbability in the table dimension: the smallest N_l
 // such that a table of N_l entries keeps the per-transfer failure
 // probability at or below `max_failure_probability` for the given effective
-// alpha. Callers sizing a DlogTable (half-range r, N_l = 2r+1 entries) want
-// r = RequiredLookupEntries(..)/2 plus slack for the un-noised bit sum.
+// alpha, i.e. P(|T| > N_l/2) <= p for T two-sided geometric. A DlogTable
+// (half-range r) that holds the transfer's even mask 2·T plus the
+// un-noised bit sum in [0, k+1] needs r = N_l + (k+1), with N_l rounded up
+// to even (transfer::TransferParams::RecommendedDlogRange).
 int64_t RequiredLookupEntries(double alpha_effective, double max_failure_probability);
 
 // Privacy cost of one DStress iteration against an adversary watching one

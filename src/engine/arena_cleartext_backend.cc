@@ -4,6 +4,7 @@
 // TrafficStats are pinned by golden digests (tests/graphplane_test.cc)
 // recorded from the retired per-vertex container plane.
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -101,12 +102,8 @@ class ArenaCleartextBackend : public ExecutionBackend {
 
   const char* name() const override { return ExecutionModeName(ExecutionMode::kCleartextFast); }
 
-  int64_t Execute(const std::vector<mpc::BitVector>& initial_states,
-                  core::RunMetrics* metrics) override;
-
-  std::vector<int64_t> ExecuteEnsemble(
-      const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
-      core::RunMetrics* metrics) override;
+  std::vector<int64_t> Execute(const std::vector<std::vector<mpc::BitVector>>& lanes,
+                               core::RunMetrics* metrics) override;
 
   std::vector<mpc::BitVector> DebugFinalStates() const override {
     if (!solo_ran_) {
@@ -202,8 +199,8 @@ class ArenaCleartextBackend : public ExecutionBackend {
     }
   }
 
-  // Tree gather (solo only; the ensemble aggregation schedule is flat,
-  // mirroring the secure plane). Bulk-metered mode replays the literal
+  // Tree gather (one lane only; the multi-lane aggregation schedule is
+  // flat, mirroring the secure plane). Bulk-metered mode replays the literal
   // §3.6 tree's traffic (GatherTreeLiteral) as one delta; the sum itself
   // is the packed flat reduction — associative two's-complement addition
   // makes it equal to the tree's level-by-level partials.
@@ -336,212 +333,140 @@ class ArenaCleartextBackend : public ExecutionBackend {
   std::unique_ptr<circuit::Circuit> noise_circuit_;
   std::unique_ptr<net::Transport> net_;
   std::unique_ptr<core::WorkerPool> pool_;
-  // The solo (S = stride = 1) plane, allocated once and Reset per run; also
-  // the source of DebugFinalStates. Ensemble chunks build their own planes
-  // (stride varies with the chunk width).
+  // The width-1 (S = stride = 1) plane, allocated once and Reset per run;
+  // also the source of DebugFinalStates. Wider chunks build their own
+  // planes (stride varies with the chunk width).
   std::unique_ptr<graphplane::GraphPlane> solo_plane_;
   bool solo_ran_ = false;
 };
 
-int64_t ArenaCleartextBackend::Execute(const std::vector<mpc::BitVector>& initial_states,
-                                       core::RunMetrics* metrics) {
-  const int n = graph_.num_vertices();
-  DSTRESS_CHECK(static_cast<int>(initial_states.size()) == n);
-  for (const mpc::BitVector& state : initial_states) {
-    DSTRESS_CHECK(static_cast<int>(state.size()) == program_.state_bits);
+// Packs lanes [lo, lo + S) into a stride-P input matrix (scenario s of
+// vertex v at lane v*P + s).
+void PackLaneChunk(const std::vector<std::vector<mpc::BitVector>>& lanes, int lo,
+                   int num_scenarios, int stride, int state_bits,
+                   mpc::PackedShareMatrix* in_mat) {
+  const int n = static_cast<int>(lanes[static_cast<size_t>(lo)].size());
+  if (state_bits <= 64) {
+    // Per vertex: word-pack each scenario's state, transpose the S x sb
+    // block, and the rows come out as ready-made lane groups.
+    uint64_t block[64];
+    for (int v = 0; v < n; v++) {
+      for (int s = 0; s < 64; s++) {
+        uint64_t word = 0;
+        if (s < num_scenarios) {
+          const mpc::BitVector& state = lanes[static_cast<size_t>(lo + s)][static_cast<size_t>(v)];
+          for (int r = 0; r < state_bits; r++) {
+            word |= static_cast<uint64_t>(state[static_cast<size_t>(r)] & 1) << r;
+          }
+        }
+        block[s] = word;
+      }
+      mpc::TransposeBits64x64(block);
+      for (int r = 0; r < state_bits; r++) {
+        in_mat->SetLaneGroup(static_cast<size_t>(r), static_cast<size_t>(v) * stride,
+                             num_scenarios, block[r]);
+      }
+    }
+    return;
   }
-
-  core::RunMetrics local;
-  core::RunMetrics* m = metrics != nullptr ? metrics : &local;
-  *m = core::RunMetrics{};
-  m->iterations = program_.iterations;
-  m->update_and_gates = update_circuit_.stats().num_and;
-  m->update_and_depth = update_circuit_.stats().and_depth;
-  m->aggregate_and_gates =
-      contribution_circuit_.stats().num_and * static_cast<size_t>(n) +
-      noise_circuit_->stats().num_and;
-
-  Stopwatch total;
-  uint64_t bytes_before = net_->TotalBytes();
-
-  Stopwatch phase;
-  solo_plane_->Reset();
-  graphplane::PackSoloStates(initial_states, &solo_plane_->input_matrix());
-  solo_ran_ = true;
-  m->init.seconds = phase.ElapsedSeconds();
-  m->init.bytes = net_->TotalBytes() - bytes_before;
-
-  uint64_t phase_bytes = net_->TotalBytes();
-  for (int iter = 0; iter < program_.iterations; iter++) {
-    phase.Reset();
-    solo_plane_->ComputeStep();
-    m->compute.seconds += phase.ElapsedSeconds();
-    m->compute.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
-
-    phase.Reset();
-    solo_plane_->CommunicateStep();
-    m->communicate.seconds += phase.ElapsedSeconds();
-    m->communicate.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
-
-    if (early_exit_ && solo_plane_->AllConverged()) {
-      // Every remaining (compute, communicate) round is a figure-identical
-      // no-op; only the traffic shape changes, which is what the opt-in
-      // acknowledges.
-      break;
+  for (int v = 0; v < n; v++) {
+    for (int r = 0; r < state_bits; r++) {
+      uint64_t bits = 0;
+      for (int s = 0; s < num_scenarios; s++) {
+        if (lanes[static_cast<size_t>(lo + s)][static_cast<size_t>(v)][static_cast<size_t>(r)] &
+            1) {
+          bits |= 1ULL << s;
+        }
+      }
+      in_mat->SetLaneGroup(static_cast<size_t>(r), static_cast<size_t>(v) * stride,
+                           num_scenarios, bits);
     }
   }
-  // Final computation step, as in the secure schedule (§3.6).
-  phase.Reset();
-  solo_plane_->ComputeStep();
-  m->compute.seconds += phase.ElapsedSeconds();
-  m->compute.bytes += net_->TotalBytes() - phase_bytes;
-  phase_bytes = net_->TotalBytes();
-
-  phase.Reset();
-  int64_t result;
-  if (config_.aggregation_fanout > 0) {
-    result = Release(MeterGatherTree(), SampleNoise());
-  } else {
-    AggregateFlat(*solo_plane_, /*num_scenarios=*/1, &result);
-  }
-  m->aggregate.seconds = phase.ElapsedSeconds();
-  m->aggregate.bytes = net_->TotalBytes() - phase_bytes;
-
-  m->iterations = static_cast<int>(solo_plane_->stats().iterations);
-  m->total_seconds = total.ElapsedSeconds();
-  m->total_bytes = net_->TotalBytes() - bytes_before;
-  m->avg_bytes_per_node = static_cast<double>(m->total_bytes) / n;
-  return result;
 }
 
-std::vector<int64_t> ArenaCleartextBackend::ExecuteEnsemble(
-    const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
-    core::RunMetrics* metrics) {
-  const int total_scenarios = static_cast<int>(per_scenario_states.size());
+std::vector<int64_t> ArenaCleartextBackend::Execute(
+    const std::vector<std::vector<mpc::BitVector>>& lanes, core::RunMetrics* metrics) {
+  const int total_scenarios = static_cast<int>(lanes.size());
   DSTRESS_CHECK(total_scenarios > 0);
-  if (total_scenarios == 1) {
-    core::RunMetrics local;
-    core::RunMetrics* m = metrics != nullptr ? metrics : &local;
-    return {Execute(per_scenario_states[0], m)};
-  }
-  DSTRESS_CHECK(config_.aggregation_fanout == 0);
-
+  DSTRESS_CHECK(total_scenarios == 1 || config_.aggregation_fanout == 0);
   const int n = graph_.num_vertices();
-  const int sb = program_.state_bits;
+  for (const std::vector<mpc::BitVector>& states : lanes) {
+    DSTRESS_CHECK(static_cast<int>(states.size()) == n);
+    for (const mpc::BitVector& state : states) {
+      DSTRESS_CHECK(static_cast<int>(state.size()) == program_.state_bits);
+    }
+  }
 
   core::RunMetrics local;
   core::RunMetrics* m = metrics != nullptr ? metrics : &local;
   *m = core::RunMetrics{};
-  m->iterations = program_.iterations;
   m->update_and_gates = update_circuit_.stats().num_and;
   m->update_and_depth = update_circuit_.stats().and_depth;
 
   Stopwatch total;
   uint64_t bytes_before = net_->TotalBytes();
+  solo_ran_ = total_scenarios == 1;
 
-  int iterations_run = 0;
+  // Times one phase into `pm`, with the bytes it put on the wire.
+  auto run_phase = [&](core::PhaseMetrics* pm, const std::function<void()>& step) {
+    Stopwatch phase;
+    const uint64_t phase_bytes = net_->TotalBytes();
+    step();
+    pm->seconds += phase.ElapsedSeconds();
+    pm->bytes += net_->TotalBytes() - phase_bytes;
+  };
   std::vector<int64_t> results(static_cast<size_t>(total_scenarios), 0);
   for (int chunk_lo = 0; chunk_lo < total_scenarios; chunk_lo += 64) {
     const int num_scenarios = std::min(64, total_scenarios - chunk_lo);
-    int stride = 1;
-    while (stride < num_scenarios) {
-      stride <<= 1;
-    }
-
-    Stopwatch phase;
-    uint64_t phase_bytes = net_->TotalBytes();
-    graphplane::GraphPlane::Options options;
-    options.num_scenarios = num_scenarios;
-    options.stride = stride;
-    options.edge_session_base = kEdgeSession;
-    graphplane::GraphPlane plane(edge_index_, program_, update_plan_, pool_.get(), net_.get(),
-                                 options);
-    mpc::PackedShareMatrix& in_mat = plane.input_matrix();
-    for (int s = 0; s < num_scenarios; s++) {
-      const auto& states = per_scenario_states[static_cast<size_t>(chunk_lo + s)];
-      DSTRESS_CHECK(static_cast<int>(states.size()) == n);
-      for (int v = 0; v < n; v++) {
-        DSTRESS_CHECK(static_cast<int>(states[static_cast<size_t>(v)].size()) == sb);
+    std::unique_ptr<graphplane::GraphPlane> chunk_plane;
+    graphplane::GraphPlane* plane = solo_plane_.get();
+    run_phase(&m->init, [&] {
+      if (num_scenarios == 1) {
+        solo_plane_->Reset();
+        graphplane::PackSoloStates(lanes[static_cast<size_t>(chunk_lo)],
+                                   &solo_plane_->input_matrix());
+        return;
       }
-    }
-    if (sb <= 64) {
-      // Per vertex: word-pack each scenario's state, transpose the S x sb
-      // block, and the rows come out as ready-made lane groups.
-      uint64_t block[64];
-      for (int v = 0; v < n; v++) {
-        for (int s = 0; s < 64; s++) {
-          uint64_t word = 0;
-          if (s < num_scenarios) {
-            const mpc::BitVector& state =
-                per_scenario_states[static_cast<size_t>(chunk_lo + s)][static_cast<size_t>(v)];
-            for (int r = 0; r < sb; r++) {
-              word |= static_cast<uint64_t>(state[static_cast<size_t>(r)] & 1) << r;
-            }
-          }
-          block[s] = word;
-        }
-        mpc::TransposeBits64x64(block);
-        for (int r = 0; r < sb; r++) {
-          in_mat.SetLaneGroup(static_cast<size_t>(r), static_cast<size_t>(v) * stride,
-                              num_scenarios, block[r]);
-        }
+      int stride = 1;
+      while (stride < num_scenarios) {
+        stride <<= 1;
       }
-    } else {
-      for (int v = 0; v < n; v++) {
-        for (int r = 0; r < sb; r++) {
-          uint64_t bits = 0;
-          for (int s = 0; s < num_scenarios; s++) {
-            if (per_scenario_states[static_cast<size_t>(chunk_lo + s)][static_cast<size_t>(v)]
-                                   [static_cast<size_t>(r)] &
-                1) {
-              bits |= 1ULL << s;
-            }
-          }
-          in_mat.SetLaneGroup(static_cast<size_t>(r), static_cast<size_t>(v) * stride,
-                              num_scenarios, bits);
-        }
-      }
-    }
-    m->init.seconds += phase.ElapsedSeconds();
-    m->init.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
+      graphplane::GraphPlane::Options options;
+      options.num_scenarios = num_scenarios;
+      options.stride = stride;
+      options.edge_session_base = kEdgeSession;
+      chunk_plane = std::make_unique<graphplane::GraphPlane>(
+          edge_index_, program_, update_plan_, pool_.get(), net_.get(), options);
+      plane = chunk_plane.get();
+      PackLaneChunk(lanes, chunk_lo, num_scenarios, stride, program_.state_bits,
+                    &plane->input_matrix());
+    });
 
     for (int iter = 0; iter < program_.iterations; iter++) {
-      phase.Reset();
-      plane.ComputeStep();
-      m->compute.seconds += phase.ElapsedSeconds();
-      m->compute.bytes += net_->TotalBytes() - phase_bytes;
-      phase_bytes = net_->TotalBytes();
-
-      phase.Reset();
-      plane.CommunicateStep();
-      m->communicate.seconds += phase.ElapsedSeconds();
-      m->communicate.bytes += net_->TotalBytes() - phase_bytes;
-      phase_bytes = net_->TotalBytes();
-
-      if (early_exit_ && plane.AllConverged()) {
+      run_phase(&m->compute, [&] { plane->ComputeStep(); });
+      run_phase(&m->communicate, [&] { plane->CommunicateStep(); });
+      if (early_exit_ && plane->AllConverged()) {
+        // Every remaining (compute, communicate) round is a figure-identical
+        // no-op; only the traffic shape changes, which is what the opt-in
+        // acknowledges.
         break;
       }
     }
-    phase.Reset();
-    plane.ComputeStep();
-    m->compute.seconds += phase.ElapsedSeconds();
-    m->compute.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
-
-    phase.Reset();
-    AggregateFlat(plane, num_scenarios, &results[static_cast<size_t>(chunk_lo)]);
+    // Final computation step, as in the secure schedule (§3.6).
+    run_phase(&m->compute, [&] { plane->ComputeStep(); });
+    run_phase(&m->aggregate, [&] {
+      if (config_.aggregation_fanout > 0) {
+        results[0] = Release(MeterGatherTree(), SampleNoise());
+      } else {
+        AggregateFlat(*plane, num_scenarios, &results[static_cast<size_t>(chunk_lo)]);
+      }
+    });
     m->aggregate_and_gates +=
         contribution_circuit_.stats().num_and * static_cast<size_t>(n) * num_scenarios +
         noise_circuit_->stats().num_and;
-    m->aggregate.seconds += phase.ElapsedSeconds();
-    m->aggregate.bytes += net_->TotalBytes() - phase_bytes;
-    iterations_run = std::max(iterations_run, static_cast<int>(plane.stats().iterations));
+    m->iterations = std::max(m->iterations, static_cast<int>(plane->stats().iterations));
   }
 
-  m->iterations = iterations_run;
   m->total_seconds = total.ElapsedSeconds();
   m->total_bytes = net_->TotalBytes() - bytes_before;
   m->avg_bytes_per_node = static_cast<double>(m->total_bytes) / n;

@@ -2,25 +2,23 @@
 // machinery that actually runs a stress test.
 //
 // The engine compiles a RunSpec down to (graph, vertex program, runtime
-// config, initial states) and hands the first three to a backend factory
-// looked up by ExecutionMode in a process-wide registry. Two backends are
-// built in:
+// config, initial states) and hands the first three to the backend that
+// MakeExecutionBackend picks for the spec's ExecutionMode, a plain switch
+// over the two built-in backends:
 //
 //   kSecure        — secure_backend.h: wraps core::Runtime, i.e. the full
 //                    GMW + OT + §3.5-transfer protocol stack.
 //   kCleartextFast — cleartext_backend.h: same circuits, same transport and
 //                    scheduler layers, no cryptography.
 //
-// RegisterExecutionMode lets deployments override a mode's factory (e.g. a
-// test double) without any caller changing: every entry point goes through
-// engine::Engine, and the engine goes through this registry. The wire a
-// mode runs over is chosen separately by RunSpec::transport through the
-// parallel transport registry (src/net/transport_spec.h) — both built-in
-// backends resolve their transport from the spec, never by type name.
+// A backend has one entry point, Execute over S scenario lanes; a solo run
+// is the one-lane case. The wire a mode runs over is chosen separately by
+// RunSpec::transport through the transport registry
+// (src/net/transport_spec.h) — both backends resolve their transport from
+// the spec, never by type name.
 #ifndef SRC_ENGINE_BACKEND_H_
 #define SRC_ENGINE_BACKEND_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -51,28 +49,19 @@ class ExecutionBackend {
 
   virtual const char* name() const = 0;
 
-  // Runs the program once on `initial_states` (one state per vertex) and
-  // returns the released aggregate. Reusable: each call is an independent
-  // run. `metrics` may be nullptr.
-  virtual int64_t Execute(const std::vector<mpc::BitVector>& initial_states,
-                          core::RunMetrics* metrics) = 0;
+  // Runs the program once per lane (lanes[s][v] = scenario s's state for
+  // vertex v) and returns one released aggregate per lane. The lanes share
+  // one lockstep pass of the batched data planes; lane s's figure equals a
+  // one-lane Execute of lanes[s], and a one-lane Execute is the solo run.
+  // Reusable: each call is an independent run. `metrics` may be nullptr.
+  virtual std::vector<int64_t> Execute(const std::vector<std::vector<mpc::BitVector>>& lanes,
+                                       core::RunMetrics* metrics) = 0;
 
-  // Ensemble plane: one run per element of `per_scenario_states` (scenario
-  // s's state for vertex v at per_scenario_states[s][v]), returning one
-  // released aggregate per scenario. The built-in backends pack scenarios
-  // into the lanes of the batched data planes so the whole ensemble costs
-  // one lockstep pass; the default implementation is the semantic fallback
-  // (independent Execute per scenario) so registered override backends keep
-  // working. Scenario s's figure must equal a solo Execute of its states.
-  virtual std::vector<int64_t> ExecuteEnsemble(
-      const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
-      core::RunMetrics* metrics);
-
-  // Final per-vertex states of the last solo Execute, for fidelity
+  // Final per-vertex states of the last one-lane Execute, for fidelity
   // testing (tests/graphplane_test.cc digests them against states
   // recorded from the retired container plane). Optional: backends without a
   // cleartext state image return empty, and the result is unspecified
-  // before the first Execute or after ExecuteEnsemble.
+  // before the first Execute or after a wider one.
   virtual std::vector<mpc::BitVector> DebugFinalStates() const { return {}; }
 
   // Attaches a transport observer (audit layer); must happen before the
@@ -83,16 +72,7 @@ class ExecutionBackend {
   virtual const net::Transport& transport() const = 0;
 };
 
-using ExecutionBackendFactory =
-    std::function<std::unique_ptr<ExecutionBackend>(const BackendContext& context)>;
-
-// Replaces the factory for `mode` process-wide. Thread-safe.
-void RegisterExecutionMode(ExecutionMode mode, ExecutionBackendFactory factory);
-
-// Restores the built-in factory for `mode`.
-void ResetExecutionMode(ExecutionMode mode);
-
-// Instantiates the backend currently registered for `mode`.
+// Instantiates the built-in backend for `mode`.
 std::unique_ptr<ExecutionBackend> MakeExecutionBackend(ExecutionMode mode,
                                                        const BackendContext& context);
 

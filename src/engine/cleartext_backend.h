@@ -36,7 +36,7 @@
 
 namespace dstress::engine {
 
-// The registered kCleartextFast factory.
+// The kCleartextFast backend (MakeExecutionBackend dispatches here).
 std::unique_ptr<ExecutionBackend> MakeArenaCleartextBackend(const BackendContext& context);
 
 }  // namespace dstress::engine

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "src/common/check.h"
@@ -48,6 +49,72 @@ double DeriveNoiseAlpha(const RunSpec& spec) {
   return finance::NoiseAlphaForRelease(sensitivity, spec.epsilon, /*unit_dollars=*/1.0);
 }
 
+// The finance entry points of one contagion model, so that one compiler
+// (Engine::CompileModel) serves both.
+struct EnModel {
+  using Params = finance::EnProgramParams;
+  using Instance = finance::EnInstance;
+  static constexpr const char* kName = "Eisenberg-Noe";
+  static core::VertexProgram Program(const Params& params) {
+    return finance::MakeEnProgram(params);
+  }
+  static Instance Workload(const graph::Graph& graph, const finance::WorkloadParams& workload,
+                           const finance::ShockParams& shock) {
+    return finance::MakeEnWorkload(graph, workload, shock);
+  }
+  static void Shock(Instance& instance, const finance::ShockParams& shock) {
+    finance::ApplyEnShock(instance, shock);
+  }
+  static std::vector<mpc::BitVector> States(const Instance& instance, const Params& params,
+                                            const graph::EdgeIndex& index) {
+    return finance::MakeEnInitialStates(instance, params, index);
+  }
+  // The reference TDS; with `defaults`, also which banks end with a
+  // prorate below one.
+  static uint64_t Reference(const Instance& instance, const Params& params,
+                            const graph::EdgeIndex& index, std::vector<uint8_t>* defaults) {
+    std::vector<uint64_t> prorate;
+    const uint64_t tds =
+        finance::EnSolveFixed(instance, params, index, defaults != nullptr ? &prorate : nullptr);
+    for (uint64_t p : prorate) {
+      defaults->push_back(p < params.format.One() ? 1 : 0);
+    }
+    return tds;
+  }
+};
+
+struct EgjModel {
+  using Params = finance::EgjProgramParams;
+  using Instance = finance::EgjInstance;
+  static constexpr const char* kName = "Elliott-Golub-Jackson";
+  static core::VertexProgram Program(const Params& params) {
+    return finance::MakeEgjProgram(params);
+  }
+  static Instance Workload(const graph::Graph& graph, const finance::WorkloadParams& workload,
+                           const finance::ShockParams& shock) {
+    return finance::MakeEgjWorkload(graph, workload, shock);
+  }
+  static void Shock(Instance& instance, const finance::ShockParams& shock) {
+    finance::ApplyEgjShock(instance, shock);
+  }
+  static std::vector<mpc::BitVector> States(const Instance& instance, const Params& params,
+                                            const graph::EdgeIndex&) {
+    return finance::MakeEgjInitialStates(instance, params);
+  }
+  // The reference TDS; with `defaults`, also which banks end below their
+  // failure threshold.
+  static uint64_t Reference(const Instance& instance, const Params& params,
+                            const graph::EdgeIndex& index, std::vector<uint8_t>* defaults) {
+    std::vector<uint64_t> values;
+    const uint64_t tds =
+        finance::EgjSolveFixed(instance, params, index, defaults != nullptr ? &values : nullptr);
+    for (size_t v = 0; v < values.size(); v++) {
+      defaults->push_back(values[v] < instance.threshold[v] ? 1 : 0);
+    }
+    return tds;
+  }
+};
+
 }  // namespace
 
 Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
@@ -67,41 +134,16 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
   const int degree_bound =
       spec_.degree_bound > 0 ? spec_.degree_bound : std::max(1, graph_->MaxDegree());
 
+  // An ensemble varies shocks and balance sheets; a custom program has
+  // neither channel to vary.
+  DSTRESS_CHECK(!spec_.ensemble.has_value() || spec_.model != ContagionModel::kCustom);
   switch (spec_.model) {
-    case ContagionModel::kEisenbergNoe: {
-      model_name_ = "Eisenberg-Noe";
-      iterations_ = spec_.iterations > 0 ? spec_.iterations : AutoIterations(n);
-      finance::EnProgramParams params;
-      params.format = spec_.format;
-      params.degree_bound = degree_bound;
-      params.iterations = iterations_;
-      params.aggregate_bits = spec_.aggregate_bits;
-      params.noise_alpha = DeriveNoiseAlpha(spec_);
-      finance::EnInstance instance =
-          finance::MakeEnWorkload(*graph_, DeriveWorkloadParams(spec_), spec_.shock);
-      program_ = finance::MakeEnProgram(params);
-      initial_states_ = finance::MakeEnInitialStates(instance, params, *edge_index_);
-      reference_ = finance::EnSolveFixed(instance, params, *edge_index_);
-      has_reference_ = true;
+    case ContagionModel::kEisenbergNoe:
+      CompileModel<EnModel>(degree_bound);
       break;
-    }
-    case ContagionModel::kElliottGolubJackson: {
-      model_name_ = "Elliott-Golub-Jackson";
-      iterations_ = spec_.iterations > 0 ? spec_.iterations : AutoIterations(n);
-      finance::EgjProgramParams params;
-      params.format = spec_.format;
-      params.degree_bound = degree_bound;
-      params.iterations = iterations_;
-      params.aggregate_bits = spec_.aggregate_bits;
-      params.noise_alpha = DeriveNoiseAlpha(spec_);
-      finance::EgjInstance instance =
-          finance::MakeEgjWorkload(*graph_, DeriveWorkloadParams(spec_), spec_.shock);
-      program_ = finance::MakeEgjProgram(params);
-      initial_states_ = finance::MakeEgjInitialStates(instance, params);
-      reference_ = finance::EgjSolveFixed(instance, params, *edge_index_);
-      has_reference_ = true;
+    case ContagionModel::kElliottGolubJackson:
+      CompileModel<EgjModel>(degree_bound);
       break;
-    }
     case ContagionModel::kCustom: {
       model_name_ = "custom";
       DSTRESS_CHECK(spec_.custom_program.build_update != nullptr);
@@ -112,16 +154,9 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
       }
       iterations_ = program_.iterations;
       DSTRESS_CHECK(static_cast<int>(spec_.custom_states.size()) == n);
-      initial_states_ = spec_.custom_states;
+      base_lane_ = {spec_.custom_states};
       break;
     }
-  }
-
-  if (spec_.ensemble.has_value()) {
-    // An ensemble varies shocks and balance sheets; a custom program has
-    // neither channel to vary.
-    DSTRESS_CHECK(spec_.model != ContagionModel::kCustom);
-    CompileEnsemble(degree_bound);
   }
 
   BackendContext context;
@@ -133,73 +168,56 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
   backend_ = MakeExecutionBackend(spec_.mode, context);
 }
 
-void Engine::CompileEnsemble(int degree_bound) {
-  const ensemble::EnsembleSpec& es = *spec_.ensemble;
-  scenarios_ = ensemble::MaterializeScenarios(es, spec_.shock, graph_->num_vertices());
+template <typename Model>
+void Engine::CompileModel(int degree_bound) {
+  model_name_ = Model::kName;
+  iterations_ = spec_.iterations > 0 ? spec_.iterations : AutoIterations(graph_->num_vertices());
+  typename Model::Params params;
+  params.format = spec_.format;
+  params.degree_bound = degree_bound;
+  params.iterations = iterations_;
+  params.aggregate_bits = spec_.aggregate_bits;
+  params.noise_alpha = DeriveNoiseAlpha(spec_);
+  program_ = Model::Program(params);
+  const finance::WorkloadParams workload = DeriveWorkloadParams(spec_);
+
+  // Compiles one scenario into `lane`: the spec's workload (re-drawn at
+  // `workload_seed` when set) under `shock`. `unshocked`, when given, is
+  // the spec's workload drawn with no shock; all RNG draws precede the
+  // shock, so stamping it onto a copy equals regenerating.
+  auto compile = [&](const finance::ShockParams& shock, std::optional<uint64_t> workload_seed,
+                     const typename Model::Instance* unshocked,
+                     std::vector<mpc::BitVector>* lane, std::vector<uint8_t>* defaults) {
+    typename Model::Instance instance;
+    if (unshocked != nullptr && !workload_seed.has_value()) {
+      instance = *unshocked;
+      Model::Shock(instance, shock);
+    } else {
+      finance::WorkloadParams scenario_workload = workload;
+      scenario_workload.seed = workload_seed.value_or(workload.seed);
+      instance = Model::Workload(*graph_, scenario_workload, shock);
+    }
+    *lane = Model::States(instance, params, *edge_index_);
+    return Model::Reference(instance, params, *edge_index_, defaults);
+  };
+
+  base_lane_.resize(1);
+  reference_ = compile(spec_.shock, std::nullopt, nullptr, &base_lane_[0], nullptr);
+  has_reference_ = true;
+  if (!spec_.ensemble.has_value()) {
+    return;
+  }
+  scenarios_ =
+      ensemble::MaterializeScenarios(*spec_.ensemble, spec_.shock, graph_->num_vertices());
   DSTRESS_CHECK(!scenarios_.empty());
-  const finance::WorkloadParams base_workload = DeriveWorkloadParams(spec_);
-  ensemble_states_.reserve(scenarios_.size());
-  ensemble_refs_.reserve(scenarios_.size());
-  ensemble_defaults_.reserve(scenarios_.size());
-  const int n = graph_->num_vertices();
-  if (spec_.model == ContagionModel::kEisenbergNoe) {
-    finance::EnProgramParams params;
-    params.format = spec_.format;
-    params.degree_bound = degree_bound;
-    params.iterations = iterations_;
-    params.aggregate_bits = spec_.aggregate_bits;
-    params.noise_alpha = DeriveNoiseAlpha(spec_);
-    // One base workload per distinct seed; per-scenario shocks stamp onto a
-    // copy (all RNG draws precede the shock, so this equals regenerating).
-    const finance::EnInstance base =
-        finance::MakeEnWorkload(*graph_, base_workload, finance::ShockParams{});
-    for (const ensemble::Scenario& sc : scenarios_) {
-      finance::EnInstance instance;
-      if (sc.workload_seed.has_value()) {
-        finance::WorkloadParams workload = base_workload;
-        workload.seed = *sc.workload_seed;
-        instance = finance::MakeEnWorkload(*graph_, workload, sc.shock);
-      } else {
-        instance = base;
-        finance::ApplyEnShock(instance, sc.shock);
-      }
-      ensemble_states_.push_back(finance::MakeEnInitialStates(instance, params, *edge_index_));
-      std::vector<uint64_t> prorate;
-      ensemble_refs_.push_back(finance::EnSolveFixed(instance, params, *edge_index_, &prorate));
-      std::vector<uint8_t> defaults(n);
-      for (int v = 0; v < n; v++) {
-        defaults[v] = prorate[v] < spec_.format.One() ? 1 : 0;
-      }
-      ensemble_defaults_.push_back(std::move(defaults));
-    }
-  } else {
-    finance::EgjProgramParams params;
-    params.format = spec_.format;
-    params.degree_bound = degree_bound;
-    params.iterations = iterations_;
-    params.aggregate_bits = spec_.aggregate_bits;
-    params.noise_alpha = DeriveNoiseAlpha(spec_);
-    const finance::EgjInstance base =
-        finance::MakeEgjWorkload(*graph_, base_workload, finance::ShockParams{});
-    for (const ensemble::Scenario& sc : scenarios_) {
-      finance::EgjInstance instance;
-      if (sc.workload_seed.has_value()) {
-        finance::WorkloadParams workload = base_workload;
-        workload.seed = *sc.workload_seed;
-        instance = finance::MakeEgjWorkload(*graph_, workload, sc.shock);
-      } else {
-        instance = base;
-        finance::ApplyEgjShock(instance, sc.shock);
-      }
-      ensemble_states_.push_back(finance::MakeEgjInitialStates(instance, params));
-      std::vector<uint64_t> values;
-      ensemble_refs_.push_back(finance::EgjSolveFixed(instance, params, *edge_index_, &values));
-      std::vector<uint8_t> defaults(n);
-      for (int v = 0; v < n; v++) {
-        defaults[v] = values[v] < instance.threshold[v] ? 1 : 0;
-      }
-      ensemble_defaults_.push_back(std::move(defaults));
-    }
+  const typename Model::Instance unshocked =
+      Model::Workload(*graph_, workload, finance::ShockParams{});
+  ensemble_lanes_.resize(scenarios_.size());
+  ensemble_refs_.resize(scenarios_.size());
+  ensemble_defaults_.resize(scenarios_.size());
+  for (size_t s = 0; s < scenarios_.size(); s++) {
+    ensemble_refs_[s] = compile(scenarios_[s].shock, scenarios_[s].workload_seed, &unshocked,
+                                &ensemble_lanes_[s], &ensemble_defaults_[s]);
   }
 }
 
@@ -212,7 +230,7 @@ RunReport Engine::Run() {
   report.mode = spec_.mode;
   report.has_reference = has_reference_;
   report.reference = reference_;
-  report.released = backend_->Execute(initial_states_, &report.metrics);
+  report.released = backend_->Execute(base_lane_, &report.metrics)[0];
   return report;
 }
 
@@ -238,7 +256,7 @@ ensemble::EnsembleReport Engine::RunEnsemble() {
   report.epsilon_each = spec_.epsilon;
   report.epsilon_total = static_cast<double>(k) * spec_.epsilon;
   report.epsilon_budget = es.epsilon_budget;
-  std::vector<int64_t> released = backend_->ExecuteEnsemble(ensemble_states_, &report.metrics);
+  std::vector<int64_t> released = backend_->Execute(ensemble_lanes_, &report.metrics);
   DSTRESS_CHECK(released.size() == scenarios_.size());
   report.scenarios.reserve(scenarios_.size());
   for (size_t s = 0; s < scenarios_.size(); s++) {

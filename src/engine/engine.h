@@ -9,11 +9,12 @@
 //
 // Construction compiles the spec: the network is materialized (topology
 // spec or prebuilt graph), the contagion model is lowered to a vertex
-// program with privacy-calibrated output noise, initial states and the
-// cleartext reference are derived from the synthetic workload, and the
-// ExecutionMode registry supplies the backend (secure MPC or the cleartext
-// fast path). Run() then executes and returns the released figure plus
-// metrics.
+// program with privacy-calibrated output noise, every scenario (the base
+// one, plus each ensemble scenario) is compiled into a lane of initial
+// states with its cleartext reference, and MakeExecutionBackend picks the
+// backend for the spec's ExecutionMode (secure MPC or the cleartext fast
+// path). Run() executes the base lane and RunEnsemble() the ensemble lanes,
+// both through the backend's one Execute; a solo run is the one-lane case.
 //
 //   engine::RunSpec spec;
 //   spec.topology = engine::CorePeripheryTopology(50, 10);
@@ -89,19 +90,22 @@ class Engine {
   // scenario) and the cleartext plane all read it.
   std::optional<graph::EdgeIndex> edge_index_;
   core::VertexProgram program_;
-  std::vector<mpc::BitVector> initial_states_;
+  // The base scenario (spec shock and workload) as a one-lane Execute input.
+  std::vector<std::vector<mpc::BitVector>> base_lane_;
   bool has_reference_ = false;
   uint64_t reference_ = 0;
   std::string model_name_;
   int iterations_ = 0;
   std::unique_ptr<ExecutionBackend> backend_;
 
-  // Ensemble compilation (spec_.ensemble): the materialized scenarios, one
-  // initial-state vector per scenario, and the cleartext reference channel
-  // (per-scenario reference TDS + per-bank default indicators).
-  void CompileEnsemble(int degree_bound);
+  // Lowers an EN or EGJ spec (Model: engine.cc's EnModel / EgjModel) to
+  // its program, then compiles the base scenario and every ensemble
+  // scenario through one per-scenario path: initial states, the cleartext
+  // reference and, for ensemble lanes, the per-bank default indicators.
+  template <typename Model>
+  void CompileModel(int degree_bound);
   std::vector<ensemble::Scenario> scenarios_;
-  std::vector<std::vector<mpc::BitVector>> ensemble_states_;
+  std::vector<std::vector<mpc::BitVector>> ensemble_lanes_;
   std::vector<uint64_t> ensemble_refs_;
   std::vector<std::vector<uint8_t>> ensemble_defaults_;
 };

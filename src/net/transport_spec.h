@@ -1,6 +1,5 @@
 // TransportSpec + the transport registry: how a deployment chooses the wire
-// its run crosses, mirroring the ExecutionMode registry in
-// src/engine/backend.h.
+// its run crosses.
 //
 // A TransportSpec names a backend plus its options; MakeTransport resolves
 // the name — first against factories installed with RegisterTransport (test

@@ -33,10 +33,12 @@ double TransferParams::EffectiveAlpha() const {
 }
 
 int64_t TransferParams::RecommendedDlogRange(double max_failure_probability) const {
-  // The table must absorb the even geometric mask (tail bounded by
-  // RequiredLookupEntries) plus the raw bit sum, which lies in
-  // [0, block_size].
-  return dp::RequiredLookupEntries(EffectiveAlpha(), max_failure_probability) / 2 + block_size;
+  // The table must absorb the raw bit sum, which lies in [0, block_size],
+  // plus the even mask 2·T. RequiredLookupEntries(..)/2 bounds |T|, so |2·T|
+  // needs the whole count, rounded up to even so that half of it still
+  // bounds |T| after flooring.
+  const int64_t entries = dp::RequiredLookupEntries(EffectiveAlpha(), max_failure_probability);
+  return 2 * ((entries + 1) / 2) + block_size;
 }
 
 BlockKeys TransferSetup(int block_size, int message_bits, crypto::ChaCha20Prg& prg) {

@@ -1,5 +1,5 @@
 // Engine-layer tests: the RunSpec -> Engine -> RunReport API, the
-// ExecutionMode registry, and the two acceptance properties of the
+// ExecutionMode names, and the two acceptance properties of the
 // redesign:
 //
 //  (a) secure mode is a pure adapter — per-node traffic bytes (the fig4
@@ -12,13 +12,12 @@
 
 #include <gtest/gtest.h>
 
-#include "src/engine/backend.h"
+#include "src/core/runtime.h"
 #include "src/finance/eisenberg_noe.h"
 #include "src/finance/elliott_golub_jackson.h"
 #include "src/finance/utility.h"
 #include "src/finance/workload.h"
 #include "src/graph/generators.h"
-#include "src/net/sim_network.h"
 #include "src/programs/private_sum.h"
 #include "tests/golden_digest.h"
 
@@ -363,39 +362,28 @@ TEST(ExecutionModeTest, NamesRoundTrip) {
   EXPECT_FALSE(ExecutionModeFromName("tls").has_value());
 }
 
-// A registered factory replaces a built-in backend (the seam the planned
-// TCP multi-process transport will use), and ResetExecutionMode restores
-// the built-in.
-class StubBackend : public ExecutionBackend {
- public:
-  const char* name() const override { return "stub"; }
-  int64_t Execute(const std::vector<mpc::BitVector>&, core::RunMetrics* metrics) override {
-    if (metrics != nullptr) {
-      *metrics = core::RunMetrics{};
-    }
-    return 424242;
-  }
-  void AttachObserver(net::NetworkObserver*) override {}
-  const net::Transport& transport() const override { return net_; }
-
- private:
-  net::SimNetwork net_{1};
-};
-
-TEST(ExecutionModeRegistryTest, OverrideAndReset) {
-  RegisterExecutionMode(ExecutionMode::kCleartextFast,
-                        [](const BackendContext&) { return std::make_unique<StubBackend>(); });
-
+// The auto-sized dlog table must cover the transfer's even mask 2·T, not
+// just T. Seed 403 of the cold benchmark's secure N=40 dealer workload
+// (core-periphery network drawn at seed 1, 4 iterations, blocks of 4) drew
+// a mask past a table sized for T and aborted in the transfer's lookup.
+TEST(EngineSecureModeTest, DlogTableCoversEvenMaskAtSeed403) {
+  TopologySpec topology = CorePeripheryTopology(40, 8);
+  topology.degree_cap = 4;
   RunSpec spec;
-  spec.topology = CorePeripheryTopology(8, 2);
-  spec.iterations = 1;
-  spec.mode = ExecutionMode::kCleartextFast;
-  EXPECT_EQ(Engine(spec).Run().released, 424242);
-
-  ResetExecutionMode(ExecutionMode::kCleartextFast);
-  spec.noise_alpha = 1e-12;
-  RunReport real = Engine(spec).Run();
-  EXPECT_EQ(real.released, static_cast<int64_t>(real.reference));
+  spec.topology = ExplicitTopology(40, BuildTopologyGraph(topology, 1).Edges());
+  finance::WorkloadParams workload;
+  workload.format = spec.format;
+  workload.core_size = 8;
+  workload.seed = 403;
+  spec.workload = workload;
+  spec.degree_bound = 4;
+  spec.block_size = 4;
+  spec.iterations = 4;
+  spec.max_parallel_tasks = 4;
+  spec.seed = 403;
+  RunReport report = Engine(spec).Run();
+  EXPECT_TRUE(report.has_reference);
+  EXPECT_EQ(report.metrics.iterations, 4);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "src/engine/engine.h"
 #include "src/ensemble/spec.h"
+#include "tests/golden_digest.h"
 
 namespace dstress::ensemble {
 namespace {
@@ -301,6 +302,51 @@ TEST(EnsembleSecureTest, SixtyFourDrawsMatchSolo) {
   spec.ensemble->magnitude_lo = 0.0;
   spec.ensemble->magnitude_hi = 0.8;
   ExpectLanesMatchSolo(spec);
+}
+
+// Whole-ensemble trace of the secure plane: per-lane figures and
+// references, per-node TrafficStats, total bytes and Beaver triples. The
+// digests were recorded before the solo and ensemble run loops were merged
+// into one lane loop, and pin that merge for widths the solo-equality
+// tests above do not cover traffic-wise: dealer triples at W = 3, and the
+// node-pair OT triple factory at W = 2.
+const golden::GoldenDigest kSecureEnsembleGolden[] = {
+    {"secure dealer W=3", "484f09a4e1a378ad321e45c6a38ae6c000e7ade8bf745dd08c18bcfad0cbd663",
+     nullptr, "52e6872cb768e02ef8cfa8db11538d8212f31c1c46b2f15daf2df8cc6a5d5a59", 1891356,
+     501012},
+    {"secure ot factory W=2", "baf2e8af1d8fd564a4aa09a0ddd09ba9b2e3f60f6f47870189cb0d8328b31529",
+     nullptr, "2a1f4879594472cfeab3a084f37c02ad3fae10595e9e507311ce173e2a88c8ea", 3458056,
+     171388},
+};
+
+void ExpectSecureEnsembleMatchesGolden(const RunSpec& spec, const std::string& label) {
+  const golden::GoldenDigest* want = golden::Find(kSecureEnsembleGolden, label);
+  ASSERT_NE(want, nullptr) << label;
+  Engine engine(spec);
+  EnsembleReport report = engine.RunEnsemble();
+  EXPECT_EQ(golden::Mismatch(golden::DigestEnsemble(engine, report), *want), "");
+}
+
+RunSpec WithExplicitScenarios(RunSpec spec, const std::vector<std::vector<int>>& shocked) {
+  spec.ensemble.emplace();
+  for (const std::vector<int>& banks : shocked) {
+    Scenario sc;
+    sc.shock.shocked_banks = banks;
+    spec.ensemble->scenarios.push_back(sc);
+  }
+  return spec;
+}
+
+TEST(EnsembleSecureGoldenTest, DealerWidthThree) {
+  ExpectSecureEnsembleMatchesGolden(
+      WithExplicitScenarios(SecureBase(8, 2), {{0}, {1, 2}, {3}}), "secure dealer W=3");
+}
+
+TEST(EnsembleSecureGoldenTest, NodePairOtFactoryWidthTwo) {
+  RunSpec spec = WithExplicitScenarios(SecureBase(6, 1), {{0}, {2}});
+  spec.use_ot_triples = true;
+  spec.ot_batching = true;
+  ExpectSecureEnsembleMatchesGolden(spec, "secure ot factory W=2");
 }
 
 // --- privacy gate ----------------------------------------------------------

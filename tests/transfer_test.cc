@@ -5,6 +5,7 @@
 #include <cmath>
 #include <thread>
 
+#include "src/dp/samplers.h"
 #include "src/net/sim_network.h"
 #include "src/transfer/batch_engine.h"
 
@@ -323,6 +324,48 @@ TEST(TransferTest, EffectiveAlphaFormula) {
   params.block_size = 20;
   params.budget_alpha = 0.9;
   EXPECT_NEAR(params.EffectiveAlpha(), std::pow(0.9, 2.0 / 20), 1e-12);
+}
+
+// The table of half-range R must hold mask + bit sum, with the bit sum in
+// [0, k+1] and the mask 2·T for T two-sided geometric at a =
+// EffectiveAlpha(). It does whenever |T| <= t = floor((R - (k+1)) / 2),
+// and P(|T| > t) = 2·a^(t+1) / (1 + a) must stay within the budget p.
+TEST(TransferDlogRangeTest, CoversTheEvenMaskTail) {
+  for (double alpha : {0.5, 0.9, 0.99}) {
+    for (int block_size : {2, 4, 8, 20}) {
+      for (double p : {1e-3, 1e-6, 1e-9, 1e-12}) {
+        TransferParams params;
+        params.block_size = block_size;
+        params.budget_alpha = alpha;
+        const double a = params.EffectiveAlpha();
+        const int64_t t = (params.RecommendedDlogRange(p) - block_size) / 2;
+        EXPECT_LE(2 * std::pow(a, static_cast<double>(t + 1)) / (1 + a), p)
+            << "alpha=" << alpha << " k+1=" << block_size << " p=" << p;
+      }
+    }
+  }
+}
+
+// The same property measured: at p = 1e-3, seeded EvenGeometricMask draws
+// leave +/-(R - (k+1)) at a rate near p, not near sqrt(p) as a table sized
+// for T instead of 2·T lets them.
+TEST(TransferDlogRangeTest, SeededMasksStayInsideTheTable) {
+  TransferParams params;
+  params.block_size = 4;
+  params.budget_alpha = 0.9;
+  const double p = 1e-3;
+  const int64_t bound = params.RecommendedDlogRange(p) - params.block_size;
+  auto prg = crypto::ChaCha20Prg::FromSeed(403);
+  const int draws = 200000;
+  int outside = 0;
+  for (int i = 0; i < draws; i++) {
+    int64_t mask = dp::EvenGeometricMask(prg, params.EffectiveAlpha());
+    if (mask > bound || mask < -bound) {
+      outside++;
+    }
+  }
+  // The mean is at most p·draws = 200; 300 is seven standard deviations up.
+  EXPECT_LE(outside, 300);
 }
 
 }  // namespace
