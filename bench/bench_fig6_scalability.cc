@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "oracle/per_role_ot_supply.h"
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/core/runtime.h"
@@ -253,7 +254,9 @@ struct OtRunResult {
   std::map<net::NodeId, OtOnlineStats> online;
 };
 
-OtRunResult RunSecureOt(int n, int degree, int block_size, int fanout, bool ot_batching) {
+// per_role_baseline: draw triples from the per-role IKNP baseline
+// (oracle/per_role_ot_supply.h) instead of the runtime's node-pair factory.
+OtRunResult RunSecureOt(int n, int degree, int block_size, int fanout, bool per_role_baseline) {
   engine::TopologySpec topo = engine::CorePeripheryTopology(n, std::max(2, n / 10));
   topo.degree_cap = degree;
   graph::Graph g = engine::BuildTopologyGraph(topo, /*seed=*/4);
@@ -279,9 +282,9 @@ OtRunResult RunSecureOt(int n, int degree, int block_size, int fanout, bool ot_b
   config.seed = 4;
   config.transfer_budget_alpha = 0.99;
   config.use_ot_triples = true;
-  config.ot_batching = ot_batching;
   config.aggregation_fanout = fanout;
-  core::Runtime runtime(config, g, program);
+  core::Runtime runtime(config, g, program,
+                        per_role_baseline ? oracle::PerRoleOtSupplyMaker(config.seed) : nullptr);
   OtTrafficSplitter meter;
   runtime.AttachObserver(&meter);
   OtRunResult result;
@@ -441,8 +444,8 @@ void Run() {
   std::printf("# note: end-to-end time on this machine is dominated by the EC transfer\n"
               "# crypto; the MPC rows isolate the packed evaluation path.\n");
 
-  // Secure OT offline phase: the node-pair triple factory (ot_batching on,
-  // the default for `triples ot` runs) against the per-role IKNP baseline,
+  // Secure OT offline phase: the node-pair triple factory (the runtime's
+  // supply for `triples ot` runs) against the per-role IKNP baseline,
   // in the same build and run. The factory pays base OTs once per node pair
   // instead of once per (role, peer) and prefetches iteration i+1's triples
   // while iteration i evaluates; tools/check_bench.py --ot-min-speedup pins
@@ -459,9 +462,9 @@ void Run() {
     const int ot_degree = 3;
     const int ot_fanout = n == 20 ? 4 : 0;
     OtRunResult baseline =
-        RunSecureOt(n, ot_degree, ot_block_size, ot_fanout, /*ot_batching=*/false);
+        RunSecureOt(n, ot_degree, ot_block_size, ot_fanout, /*per_role_baseline=*/true);
     OtRunResult factory =
-        RunSecureOt(n, ot_degree, ot_block_size, ot_fanout, /*ot_batching=*/true);
+        RunSecureOt(n, ot_degree, ot_block_size, ot_fanout, /*per_role_baseline=*/false);
     // Fidelity re-assertion at bench scale: same released figure, and the
     // online phase's per-node traffic (everything outside the offline
     // session namespace) identical in bytes and message counts.

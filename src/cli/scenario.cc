@@ -550,22 +550,6 @@ std::optional<engine::RunSpec> ParseScenario(const std::string& text, std::strin
         p.Fail("triples must be 'dealer' or 'ot'");
         return std::nullopt;
       }
-    } else if (directive == "ot_batching") {
-      // A/B knob for the node-pair triple factory (docs/offline-phase.md);
-      // released figures and online traffic are bit-identical either way,
-      // only the offline phase's setup cost and overlap differ. No effect
-      // without 'triples ot'.
-      if (!p.ArgCount(1)) {
-        return std::nullopt;
-      }
-      if (p.tokens[1] == "on") {
-        spec.ot_batching = true;
-      } else if (p.tokens[1] == "off") {
-        spec.ot_batching = false;
-      } else {
-        p.Fail("ot_batching must be 'on' or 'off'");
-        return std::nullopt;
-      }
     } else if (directive == "early_exit") {
       // Arena-plane convergence early exit: same released figure, fewer
       // metered communicate rounds once every vertex lane has converged.

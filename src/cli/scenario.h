@@ -36,11 +36,6 @@
 //                                                simulated dealer (default) or
 //                                                real IKNP OT-extension
 //                                                triples)
-//   ot_batching <on|off>                        (with `triples ot`: node-pair
-//                                                triple factory + offline/
-//                                                online pipelining (default on)
-//                                                vs the per-role baseline —
-//                                                docs/offline-phase.md)
 //   seed <s>
 //
 // Unknown directives, malformed arguments, out-of-range vertices and

@@ -113,7 +113,7 @@ uint64_t RolePrgSeed(uint64_t run_seed, uint64_t role_tag) {
 }
 
 Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
-                 const VertexProgram& program)
+                 const VertexProgram& program, const TripleSupplyMaker& make_supply)
     : config_(config),
       graph_(graph),
       edge_index_(graph),
@@ -161,11 +161,14 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
   threads_target_ = ResolveThreadBudget(config.max_parallel_tasks);
   pool_ = std::make_unique<WorkerPool>(threads_target_);
 
-  if (config_.use_ot_triples && config_.ot_batching) {
-    mpc::TripleFactoryOptions factory_options;
-    factory_options.prg_seed = RolePrgSeed(config_.seed, 0x78);
-    factory_options.pipeline = config_.ot_prefetch;
-    triple_factory_ = std::make_unique<mpc::TripleFactory>(net_.get(), factory_options);
+  if (config_.use_ot_triples) {
+    if (make_supply) {
+      triple_supply_ = make_supply(net_.get());
+    } else {
+      mpc::TripleFactoryOptions factory_options;
+      factory_options.prg_seed = RolePrgSeed(config_.seed, 0x78);
+      triple_supply_ = std::make_unique<mpc::TripleFactory>(net_.get(), factory_options);
+    }
   }
 }
 
@@ -175,43 +178,23 @@ crypto::ChaCha20Prg Runtime::RolePrg(uint64_t role_tag, uint64_t instance) {
   return crypto::ChaCha20Prg::FromSeed(RolePrgSeed(config_.seed, role_tag), instance);
 }
 
-mpc::TripleSource* Runtime::TripleSourceFor(uint64_t tag, int member_index,
-                                            const std::vector<int>& block) {
-  if (triple_factory_ != nullptr) {
-    // Factory mode: the offline waves enqueued per phase carry this role's
-    // triples; the view is a local blocking cursor over them.
-    return triple_factory_->ViewFor(tag, member_index);
+mpc::TripleSource* Runtime::TripleSourceFor(uint64_t tag, int member_index) {
+  if (triple_supply_ != nullptr) {
+    // OT triples: the offline waves enqueued per phase carry this role's
+    // triples; the view is a local cursor over them.
+    return triple_supply_->ViewFor(tag, member_index);
   }
-  std::pair<uint64_t, int> key{tag, member_index};
-  {
-    std::lock_guard<std::mutex> lock(triple_mu_);
-    auto it = triple_sources_.find(key);
-    if (it != triple_sources_.end()) {
-      return it->second.get();
-    }
-  }
-  std::unique_ptr<mpc::TripleSource> source;
-  if (config_.use_ot_triples) {
-    // Legacy per-role path (ot_batching off; the A/B baseline). All triple
-    // traffic rides the offline session namespace, keyed by role tag, so
-    // observers classify offline vs online bytes the same way in both
-    // modes; the shared cache lets a regenerated role reuse its base-OT
-    // setup instead of re-running it.
-    source = std::make_unique<mpc::OtTripleSource>(
-        net_.get(), block, member_index,
-        RolePrg(0x77, (tag << 8) | static_cast<uint64_t>(member_index)),
-        mpc::kOfflineSessionNamespace | tag, &iknp_cache_);
-  } else {
+  std::lock_guard<std::mutex> lock(triple_mu_);
+  std::unique_ptr<mpc::DealerTripleSource>& source = triple_sources_[{tag, member_index}];
+  if (source == nullptr) {
     source = std::make_unique<mpc::DealerTripleSource>(member_index, config_.block_size,
                                                        config_.seed ^ tag);
   }
-  std::lock_guard<std::mutex> lock(triple_mu_);
-  auto [it, _] = triple_sources_.emplace(key, std::move(source));
-  return it->second.get();
+  return source.get();
 }
 
 void Runtime::EnqueueComputeWave(int num_scenarios) {
-  if (triple_factory_ == nullptr) {
+  if (triple_supply_ == nullptr) {
     return;
   }
   const size_t num_and = update_circuit_.stats().num_and;
@@ -230,11 +213,11 @@ void Runtime::EnqueueComputeWave(int num_scenarios) {
     d.count = num_and * static_cast<size_t>(num_scenarios);
     demands.push_back(std::move(d));
   }
-  triple_factory_->Enqueue(std::move(demands));
+  triple_supply_->Enqueue(std::move(demands));
 }
 
 void Runtime::EnqueueAggregateWave(int num_scenarios) {
-  if (triple_factory_ == nullptr) {
+  if (triple_supply_ == nullptr) {
     return;
   }
   const int n = graph_.num_vertices();
@@ -249,7 +232,7 @@ void Runtime::EnqueueAggregateWave(int num_scenarios) {
       d.count = num_and * static_cast<size_t>(num_scenarios);
       demands.push_back(std::move(d));
     }
-    triple_factory_->Enqueue(std::move(demands));
+    triple_supply_->Enqueue(std::move(demands));
     return;
   }
   // Tree aggregation (solo runs only — RunLanes requires fanout 0 at S > 1).
@@ -306,12 +289,7 @@ void Runtime::EnqueueAggregateWave(int num_scenarios) {
   }
   add_demand(kAggTripleTag, setup_.aggregation_block,
              BuildCombineCircuit(program_, p, /*with_noise=*/true).stats().num_and);
-  triple_factory_->Enqueue(std::move(demands));
-}
-
-void Runtime::RunGrouped(size_t groups, size_t subtasks,
-                         const std::function<void(size_t, size_t)>& fn) {
-  pool_->RunGrouped(groups, subtasks, fn);
+  triple_supply_->Enqueue(std::move(demands));
 }
 
 uint64_t Runtime::ConfigFingerprint() const {
@@ -345,9 +323,7 @@ void Runtime::SaveCheckpoint(int next_iteration, RunMetrics* m) {
   {
     std::lock_guard<std::mutex> lock(triple_mu_);
     for (const auto& [key, source] : triple_sources_) {
-      auto* dealer = dynamic_cast<mpc::DealerTripleSource*>(source.get());
-      DSTRESS_CHECK(dealer != nullptr);  // the ctor rejects checkpoint + OT
-      snapshot.triple_cursors.push_back({key.first, key.second, dealer->calls()});
+      snapshot.triple_cursors.push_back({key.first, key.second, source->calls()});
     }
   }
   std::string error;
@@ -466,66 +442,25 @@ void Runtime::AccumulateBatchStats(const mpc::BatchStats& stats) {
 }
 
 void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
-                              const std::function<int(int, int)>& node_of,
                               const std::function<mpc::BatchInstance(int, int)>& make_item,
                               const std::function<void(size_t, const mpc::BitVector&)>& sink,
                               bool count_rounds) {
-  auto accumulate = [&](const mpc::BatchStats& stats) {
-    if (count_rounds) {
-      AccumulateBatchStats(stats);
-    } else {
-      triples_consumed_.fetch_add(stats.triples_consumed, std::memory_order_relaxed);
-    }
-  };
-  const bool interactive_triples = config_.use_ot_triples && !config_.ot_batching;
-  if (!interactive_triples) {
-    // Single-scheduler mode: the triple source needs no communication
-    // (dealer tapes, or factory views whose OT traffic already ran in the
-    // offline wave), so the whole phase is one lockstep call on this
-    // thread.
-    std::vector<mpc::BatchInstance> items;
-    items.reserve(roles.size());
-    for (auto [g, m] : roles) {
-      items.push_back(make_item(g, m));
-    }
-    mpc::BatchStats stats;
-    std::vector<mpc::BitVector> outputs =
-        mpc::EvalBatchInstances(net_.get(), kBatchSession, std::move(items), &stats);
-    accumulate(stats);
-    for (size_t i = 0; i < roles.size(); i++) {
-      sink(i, outputs[i]);
-    }
-    return;
+  std::vector<mpc::BatchInstance> items;
+  items.reserve(roles.size());
+  for (auto [g, m] : roles) {
+    items.push_back(make_item(g, m));
   }
-  // Per-node schedule for interactive (per-role OT) triples: one lockstep
-  // task per executing node. Triples are prefetched inside make_item in
-  // role order — ascending by group at every node — so the collective
-  // pairwise OT sessions run in a globally consistent order and the
-  // smallest unfinished group can always progress.
-  std::map<int, std::vector<size_t>> by_node;
+  mpc::BatchStats stats;
+  std::vector<mpc::BitVector> outputs =
+      mpc::EvalBatchInstances(net_.get(), kBatchSession, std::move(items), &stats);
+  if (count_rounds) {
+    AccumulateBatchStats(stats);
+  } else {
+    triples_consumed_.fetch_add(stats.triples_consumed, std::memory_order_relaxed);
+  }
   for (size_t i = 0; i < roles.size(); i++) {
-    by_node[node_of(roles[i].first, roles[i].second)].push_back(i);
+    sink(i, outputs[i]);
   }
-  std::vector<const std::vector<size_t>*> tasks;
-  tasks.reserve(by_node.size());
-  for (auto& [x, idxs] : by_node) {
-    tasks.push_back(&idxs);
-  }
-  RunGrouped(1, tasks.size(), [&](size_t, size_t t) {
-    const std::vector<size_t>& idxs = *tasks[t];
-    std::vector<mpc::BatchInstance> items;
-    items.reserve(idxs.size());
-    for (size_t i : idxs) {
-      items.push_back(make_item(roles[i].first, roles[i].second));
-    }
-    mpc::BatchStats stats;
-    std::vector<mpc::BitVector> outputs =
-        mpc::EvalBatchInstances(net_.get(), kBatchSession, std::move(items), &stats);
-    accumulate(stats);
-    for (size_t k = 0; k < idxs.size(); k++) {
-      sink(idxs[k], outputs[k]);
-    }
-  });
 }
 
 // The step's (lane, member) roles advance through the update circuit's
@@ -538,7 +473,7 @@ void Runtime::ComputePhase(int num_scenarios) {
   const int n = graph_.num_vertices();
   const std::vector<std::pair<int, int>> roles = BlockRoles(num_scenarios * n, config_.block_size);
   RunBatchedPhase(
-      roles, [&](int g, int m) { return setup_.blocks[g % n][m]; },
+      roles,
       [&](int g, int m) {
         // Triple sources are shared per (vertex, member) across scenarios —
         // consumed in ascending scenario order at every member, and triple
@@ -546,7 +481,7 @@ void Runtime::ComputePhase(int num_scenarios) {
         const int v = g % n;
         mpc::BatchInstance item =
             NewInstance(update_plan_, setup_.blocks[v], m,
-                        TripleSourceFor(static_cast<uint64_t>(v), m, setup_.blocks[v]),
+                        TripleSourceFor(static_cast<uint64_t>(v), m),
                         static_cast<uint64_t>(g));
         item.input_shares = AssembleUpdateInput(g, m);
         return item;
@@ -579,7 +514,7 @@ void Runtime::CommunicatePhase(int scenario) {
 
   // Sub-phase 1: all sender members of every edge, one batched encrypt per
   // edge sharing the certificate's fixed-base tables.
-  RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
     net::SessionId session = kTransferSession | session_salt | e;
     const size_t out_slot = e - edge_index_.out_start(i);
@@ -600,7 +535,7 @@ void Runtime::CommunicatePhase(int scenario) {
   });
 
   // Sub-phase 2: node i aggregates + masks every edge's bundles.
-  RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
     net::SessionId session = kTransferSession | session_salt | e;
     std::vector<Bytes> bundles;
@@ -615,7 +550,7 @@ void Runtime::CommunicatePhase(int scenario) {
 
   // Sub-phase 3: node j adjusts and fans the columns out (same Channel
   // burst as RunDestEndpoint, so per-node traffic accounting matches).
-  RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
     net::SessionId session = kTransferSession | session_salt | e;
     const int in_slot = edge_index_.in_slot(e);
@@ -632,7 +567,7 @@ void Runtime::CommunicatePhase(int scenario) {
 
   // Sub-phase 4: all receiver members of every edge, one batched recovery
   // per edge sharing the c1 fixed-base table.
-  RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
+  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
     auto [i, j] = edges_[e];
     net::SessionId session = kTransferSession | session_salt | e;
     const int in_slot = edge_index_.in_slot(e);
@@ -674,7 +609,7 @@ int64_t Runtime::AggregateSingleLevel() {
   }
 
   std::vector<int64_t> results(k1, 0);
-  RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
+  pool_->RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
     int m = static_cast<int>(m_flat);
     int agg_node = setup_.aggregation_block[m];
     mpc::BitVector input;
@@ -693,7 +628,7 @@ int64_t Runtime::AggregateSingleLevel() {
       input.push_back(prg.NextBit() ? 1 : 0);
     }
 
-    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m, setup_.aggregation_block);
+    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m);
     mpc::GmwParty party(net_.get(), setup_.aggregation_block, m, triples, kAggEvalSession);
     mpc::BitVector out_shares = party.Eval(agg_circuit, input);
     triples_consumed_.fetch_add(agg_circuit.stats().num_and, std::memory_order_relaxed);
@@ -760,12 +695,12 @@ int64_t Runtime::AggregateTree() {
   // All leaf roles advance in lockstep (see ComputePhase).
   const std::vector<std::pair<int, int>> leaf_roles = BlockRoles(num_groups, k1);
   RunBatchedPhase(
-      leaf_roles, [&](int g, int m) { return blocks[g][m]; },
+      leaf_roles,
       [&](int g, int m) {
         int size = std::min(n, g * fanout + fanout) - g * fanout;
         mpc::BatchInstance item = NewInstance(
             leaf_plan_for(size), blocks[g], m,
-            TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m, blocks[g]),
+            TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m),
             static_cast<uint64_t>(g));
         item.input_shares = leaf_input(g, m);
         return item;
@@ -823,13 +758,12 @@ int64_t Runtime::AggregateTree() {
                                                          std::vector<mpc::BitVector>(k1));
     const std::vector<std::pair<int, int>> roles = BlockRoles(next_groups, k1);
     RunBatchedPhase(
-        roles, [&](int g, int m) { return next_blocks[g][m]; },
+        roles,
         [&](int g, int m) {
           int size = std::min(p, g * fanout + fanout) - g * fanout;
           mpc::BatchInstance item = NewInstance(
               combine_plan_for(size), next_blocks[g], m,
-              TripleSourceFor(kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m,
-                              next_blocks[g]),
+              TripleSourceFor(kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m),
               static_cast<uint64_t>(g));
           item.input_shares = combine_input(g, m, next_blocks);
           return item;
@@ -855,7 +789,7 @@ int64_t Runtime::AggregateTree() {
   circuit::Circuit combine_circuit = BuildCombineCircuit(program_, p, /*with_noise=*/true);
   last_aggregate_ands_ += combine_circuit.stats().num_and;
   std::vector<int64_t> results(k1, 0);
-  RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
+  pool_->RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
     int m = static_cast<int>(m_flat);
     int root_node = setup_.aggregation_block[m];
     mpc::BitVector input;
@@ -869,7 +803,7 @@ int64_t Runtime::AggregateTree() {
     for (size_t b = 0; b < noise_bits; b++) {
       input.push_back(prg.NextBit() ? 1 : 0);
     }
-    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m, setup_.aggregation_block);
+    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m);
     mpc::GmwParty party(net_.get(), setup_.aggregation_block, m, triples, kAggEvalSession);
     mpc::BitVector out_shares = party.Eval(combine_circuit, input);
     triples_consumed_.fetch_add(combine_circuit.stats().num_and, std::memory_order_relaxed);
@@ -921,7 +855,7 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
   std::vector<std::vector<mpc::BitVector>> out_shares(num_scenarios,
                                                       std::vector<mpc::BitVector>(k1));
   RunBatchedPhase(
-      roles, [&](int, int m) { return setup_.aggregation_block[m]; },
+      roles,
       [&](int s, int m) {
         const uint64_t salt = static_cast<uint64_t>(s) << 40;
         mpc::BitVector input;
@@ -940,7 +874,7 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
         }
         mpc::BatchInstance item =
             NewInstance(agg_plan, setup_.aggregation_block, m,
-                        TripleSourceFor(kAggTripleTag, m, setup_.aggregation_block),
+                        TripleSourceFor(kAggTripleTag, m),
                         static_cast<uint64_t>(s));
         item.input_shares = std::move(input);
         return item;
@@ -1020,8 +954,8 @@ std::vector<int64_t> Runtime::RunLanes(const std::vector<std::vector<mpc::BitVec
   uint64_t bytes_before = net_->TotalBytes();
   uint64_t base_ots_before = ot::BaseOtExecutionCount();
   mpc::TripleFactoryStats factory_before;
-  if (triple_factory_ != nullptr) {
-    factory_before = triple_factory_->stats();
+  if (triple_supply_ != nullptr) {
+    factory_before = triple_supply_->stats();
   }
 
   // Offline wave for the first computation step (all S lanes at once); the
@@ -1088,8 +1022,8 @@ std::vector<int64_t> Runtime::RunLanes(const std::vector<std::vector<mpc::BitVec
   m->ha_control_bytes = net_->HaControlBytes();
   m->ha_resumes = net_->HaResumeCount();
   m->base_ot_executions = ot::BaseOtExecutionCount() - base_ots_before;
-  if (triple_factory_ != nullptr) {
-    mpc::TripleFactoryStats fs = triple_factory_->stats();
+  if (triple_supply_ != nullptr) {
+    mpc::TripleFactoryStats fs = triple_supply_->stats();
     m->offline_seconds = fs.offline_seconds - factory_before.offline_seconds;
     m->offline_wait_seconds = fs.online_wait_seconds - factory_before.online_wait_seconds;
   }

@@ -84,21 +84,12 @@ struct RuntimeConfig {
   // the Appendix B lookup-failure probability is negligible per run.
   int64_t dlog_range = 0;
   // false: dealer triples (simulated offline phase, fast). true: IKNP
-  // OT-extension triples (the real protocol; pairwise setup per block).
+  // OT-extension triples (the real protocol) from a triple supply — by
+  // default the node-pair triple factory (src/mpc/triple_factory.h): one
+  // IKNP session pair per node pair, bulk extends sized to each phase's
+  // aggregate demand, and triple generation for iteration i+1 prefetched
+  // while iteration i evaluates.
   bool use_ot_triples = false;
-  // With use_ot_triples: run the offline phase through the node-pair triple
-  // factory (src/mpc/triple_factory.h) — one IKNP session pair per node
-  // pair, bulk extends sized to each phase's aggregate demand, and triple
-  // generation for iteration i+1 prefetched while iteration i evaluates.
-  // Released figures and the online phase's per-node TrafficStats are
-  // bit-identical either way (asserted in triple_factory_test.cc); false
-  // keeps the seed per-role OtTripleSource path for A/B comparison.
-  bool ot_batching = true;
-  // With ot_batching: hand waves to the factory's background dispatcher
-  // (the offline/online pipeline). False generates each wave synchronously
-  // at enqueue — the A/B knob behind the pipelined == unpipelined fidelity
-  // tests; identical figures, traffic and triple streams either way.
-  bool ot_prefetch = true;
   // 0 = single aggregation block; >0 = aggregation tree with this group
   // size per level (depth grows as log_fanout(N)).
   int aggregation_fanout = 0;
@@ -179,9 +170,9 @@ struct RunMetrics {
   double ha_checkpoint_seconds = 0;
   int resumed_from_iteration = -1;
   // Offline-phase surface (docs/offline-phase.md), all zero for dealer
-  // runs: wall time the triple factory spent generating waves (overlaps
-  // the phase timings above — with ot_prefetch the factory runs while the
-  // online phase evaluates), online time spent blocked on the triple pool,
+  // runs: wall time the triple supply spent generating waves (overlaps
+  // the phase timings above — the pipelined factory runs while the online
+  // phase evaluates), online time spent blocked on the triple pool,
   // and base-OT protocol executions during the run (both endpoints count,
   // so one node-pair setup contributes 4). ToString appends them only for
   // OT runs, so dealer reports are unchanged.
@@ -194,7 +185,16 @@ struct RunMetrics {
 
 class Runtime {
  public:
-  Runtime(const RuntimeConfig& config, const graph::Graph& graph, const VertexProgram& program);
+  // Builds the OT triple supply over the runtime's transport (which the
+  // runtime creates, hence a maker rather than a supply). Empty = the
+  // pipelined node-pair TripleFactory; tests and benches pass the per-role
+  // baseline (oracle/per_role_ot_supply.h) here. Used only with
+  // use_ot_triples.
+  using TripleSupplyMaker =
+      std::function<std::unique_ptr<mpc::TripleSupply>(net::Transport*)>;
+
+  Runtime(const RuntimeConfig& config, const graph::Graph& graph, const VertexProgram& program,
+          const TripleSupplyMaker& make_supply = nullptr);
   ~Runtime();
 
   // Executes the program on S lanes of initial states (lanes[s][v] =
@@ -252,43 +252,31 @@ class Runtime {
   void AccumulateBatchStats(const mpc::BatchStats& stats);
 
   // Shared scheduler for a batched MPC phase over `roles` = (group,
-  // member) pairs. With a non-interactive triple source the whole phase is
-  // one lockstep EvalBatchInstances call on the calling thread (nothing
-  // ever parks: each round's receives are satisfied by sends earlier in
-  // the same round); with OT triples it runs one lockstep task per
-  // executing node so the pairwise triple protocols can interleave.
-  // make_item(g, m) builds the instance (triples prefetched inside, in
-  // role order), sink(i, output) stores role i's output shares.
+  // member) pairs: the whole phase is one lockstep EvalBatchInstances call
+  // on the calling thread. Nothing ever parks: each round's receives are
+  // satisfied by sends earlier in the same round, and triple sources are
+  // local (dealer tapes, or supply views whose OT traffic already ran in
+  // the phase's offline wave). make_item(g, m) builds the instance
+  // (triples drawn inside, in role order), sink(i, output) stores role i's
+  // output shares.
   //
-  // Scheduling tradeoffs (see the ROADMAP open item on multi-core policy):
-  // the single-scheduler mode trades cross-block thread parallelism for
-  // maximal slicing width and zero blocking — the right trade when
-  // per-layer synchronization dominates. The OT mode needs every node's
-  // task live at once (the lockstep superstep argument), so the pool
-  // grows to one thread per participating node — fine at the block-level
-  // N the ~100x-slower OT configs are practical at, but not a schedule
-  // for OT at thousands of nodes.
+  // Scheduling tradeoff (see the ROADMAP open item on multi-core policy):
+  // one scheduler trades cross-block thread parallelism for maximal
+  // slicing width and zero blocking — the right trade when per-layer
+  // synchronization dominates.
   void RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
-                       const std::function<int(int, int)>& node_of,
                        const std::function<mpc::BatchInstance(int, int)>& make_item,
                        const std::function<void(size_t, const mpc::BitVector&)>& sink,
                        bool count_rounds);
 
-  // Runs fn(group, subtask) for every (group, subtask) pair on the
-  // persistent worker pool, with admission aligned to whole groups so
-  // intra-group blocking receives cannot deadlock (worker_pool.h).
-  void RunGrouped(size_t groups, size_t subtasks,
-                  const std::function<void(size_t, size_t)>& fn);
-
-  mpc::TripleSource* TripleSourceFor(uint64_t tag, int member_index,
-                                     const std::vector<int>& block);
+  mpc::TripleSource* TripleSourceFor(uint64_t tag, int member_index);
   crypto::ChaCha20Prg RolePrg(uint64_t role_tag, uint64_t instance);
 
-  // Offline-phase demand estimation (config_.ot_batching): registers one
-  // factory wave covering every triple the named phase will draw —
+  // Offline-phase demand estimation (config_.use_ot_triples): registers one
+  // supply wave covering every triple the named phase will draw —
   // update-circuit AND count x scenarios per vertex block for a
   // computation step, the aggregation circuits' AND counts for the
-  // aggregation step (flat or tree). No-ops when the factory is off.
+  // aggregation step (flat or tree). No-ops with dealer triples.
   void EnqueueComputeWave(int num_scenarios);
   void EnqueueAggregateWave(int num_scenarios);
 
@@ -330,17 +318,11 @@ class Runtime {
   // [vertex][out_slot][member]
   std::vector<std::vector<std::vector<mpc::BitVector>>> outmsg_shares_;
 
-  // The IKNP session cache the per-role OT path uses so regenerated roles
-  // reuse their base-OT setup. Declared before triple_sources_ so it
-  // outlives them: a per-role source hands its sessions back on
-  // destruction.
-  mpc::IknpSessionCache iknp_cache_;
-  // Persistent triple sources keyed by (vertex or agg tag, member index).
-  std::map<std::pair<uint64_t, int>, std::unique_ptr<mpc::TripleSource>> triple_sources_;
+  // Dealer triple sources keyed by (vertex or agg tag, member index).
+  std::map<std::pair<uint64_t, int>, std::unique_ptr<mpc::DealerTripleSource>> triple_sources_;
   std::mutex triple_mu_;
-  // Offline phase (use_ot_triples && ot_batching): the node-pair triple
-  // factory.
-  std::unique_ptr<mpc::TripleFactory> triple_factory_;
+  // Offline phase (use_ot_triples): where every OT triple comes from.
+  std::unique_ptr<mpc::TripleSupply> triple_supply_;
 
   std::vector<std::pair<int, int>> edges_;
   int threads_target_ = 0;

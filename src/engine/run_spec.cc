@@ -149,11 +149,10 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
                 "%llu triples consumed\n",
                 report.metrics.update_and_gates, report.metrics.update_and_depth,
                 static_cast<unsigned long long>(report.metrics.triples_consumed));
-  // OT-triple runs name the offline-phase mode (docs/offline-phase.md) so
-  // reported walls are attributable.
+  // OT-triple runs say so (docs/offline-phase.md): their walls include
+  // the offline phase.
   if (spec.use_ot_triples) {
-    transport += std::string(" (triples=ot, ot_batching=") + (spec.ot_batching ? "on" : "off") +
-                 ")";
+    transport += " (triples=ot)";
   }
   char buf[1024];
   std::snprintf(

@@ -150,14 +150,6 @@ struct RunSpec {
   int block_size = 4;  // k+1
   int aggregation_fanout = 0;  // 0 = single aggregation block
   bool use_ot_triples = false;
-  // Batched offline phase (core::RuntimeConfig::ot_batching): with OT
-  // triples, run the node-pair triple factory — one IKNP session pair per
-  // node pair, bulk extends per phase, offline generation pipelined ahead
-  // of the online phase. Released figures and the online phase's per-node
-  // TrafficStats are bit-identical either way; false keeps the seed
-  // per-role OtTripleSource path for A/B benchmarking. No effect on dealer
-  // runs.
-  bool ot_batching = true;
   // Opt-in early exit for the cleartext graph plane: stop iterating once
   // every vertex lane has converged (the remaining iterations are provably
   // figure-identical no-ops). Off by default because it changes the

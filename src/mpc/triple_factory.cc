@@ -19,42 +19,6 @@ using ot::SetBit;
 // base-OT streams from the per-(tag, member) share streams below.
 constexpr uint64_t kSeedMix = 0x9e3779b97f4a7c15ULL;
 
-PackedBits RandomPacked(crypto::ChaCha20Prg& prg, size_t words) {
-  PackedBits out(words);
-  prg.Fill(reinterpret_cast<uint8_t*>(out.data()), words * 8);
-  return out;
-}
-
-// Circle-method tournament over n players, generalized from
-// OtTripleSource: rounds 0 .. TournamentRounds(n)-1 enumerate all unordered
-// pairs, one perfect matching per round (slot n-1 padded for odd n).
-int TournamentRounds(int n) {
-  int m = (n % 2 == 0) ? n : n + 1;
-  return m - 1;
-}
-
-int TournamentPeer(int n, int me, int round) {
-  int m = (n % 2 == 0) ? n : n + 1;
-  auto slot_player = [&](int slot) -> int {
-    if (slot == m - 1) {
-      return m - 1;
-    }
-    return (round + slot) % (m - 1);
-  };
-  for (int k = 0; k < m / 2; k++) {
-    int p1 = slot_player(k);
-    int p2 = slot_player(m - 1 - k);
-    if (p1 == me || p2 == me) {
-      int peer = (p1 == me) ? p2 : p1;
-      if (peer >= n) {
-        return -1;  // bye against the padding slot
-      }
-      return peer;
-    }
-  }
-  return -1;
-}
-
 // Appends `count` bits of (a, b, c) to the end of `dst` (bit-granular; the
 // destination's tail is rarely word-aligned once draws of mixed sizes have
 // passed through).
@@ -77,40 +41,30 @@ void AppendTriples(BitTriples& dst, const PackedBits& a, const PackedBits& b, co
 
 // Blocking cursor over one (tag, member) stream. Local only: Generate never
 // touches the network, so views impose no call-order coordination across
-// nodes — exactly why the online single-scheduler fast path stays legal
-// with the factory on (see Runtime::RunBatchedPhase).
-class TripleFactory::View : public TripleSource {
- public:
-  View(TripleFactory* factory, Buffer* buf) : factory_(factory), buf_(buf) {}
-
-  BitTriples Generate(size_t count) override {
-    std::unique_lock<std::mutex> lock(buf_->mu);
-    // Fail fast instead of deadlocking: a draw beyond what Enqueue promised
-    // means the runtime's demand estimate diverged from consumption.
-    DSTRESS_CHECK(buf_->consumed + count <= buf_->promised);
-    if (buf_->generated - buf_->consumed < count) {
-      Stopwatch wait;
-      buf_->cv.wait(lock, [&] { return buf_->generated - buf_->consumed >= count; });
-      factory_->AddWaitSeconds(wait.ElapsedSeconds());
-    }
-    BitTriples out = SliceTriples(buf_->pending, buf_->cursor, count);
-    buf_->cursor += count;
-    buf_->consumed += count;
-    if (buf_->cursor == buf_->pending.count) {
-      buf_->pending = BitTriples{};
-      buf_->cursor = 0;
-    }
-    return out;
+// nodes — which is what lets every batched online phase run as one
+// lockstep call on one thread.
+BitTriples TripleFactory::Buffer::Generate(size_t count) {
+  std::unique_lock<std::mutex> lock(mu);
+  // Fail fast instead of deadlocking: a draw beyond what Enqueue promised
+  // means the runtime's demand estimate diverged from consumption.
+  DSTRESS_CHECK(consumed + count <= promised);
+  if (generated - consumed < count) {
+    Stopwatch wait;
+    cv.wait(lock, [&] { return generated - consumed >= count; });
+    factory->AddWaitSeconds(wait.ElapsedSeconds());
   }
-
- private:
-  TripleFactory* factory_;
-  Buffer* buf_;
-};
+  BitTriples out = SliceTriples(pending, cursor, count);
+  cursor += count;
+  consumed += count;
+  if (cursor == pending.count) {
+    pending = BitTriples{};
+    cursor = 0;
+  }
+  return out;
+}
 
 TripleFactory::TripleFactory(net::Transport* net, TripleFactoryOptions options)
     : net_(net), options_(options), pool_(1) {
-  DSTRESS_CHECK(options_.max_pending_waves >= 1);
   if (options_.pipeline) {
     dispatcher_ = std::thread([this] { DispatcherLoop(); });
   }
@@ -143,29 +97,18 @@ void TripleFactory::Enqueue(std::vector<TripleDemand> demands) {
     return;
   }
   std::unique_lock<std::mutex> lock(queue_mu_);
-  // Bounded pool: the factory runs at most max_pending_waves ahead of the
+  // Bounded pool: the factory runs at most kMaxPendingWaves ahead of the
   // online phase; beyond that the enqueuer (the runtime's scheduler) blocks
   // here, which is the backpressure.
   queue_cv_.wait(lock, [&] {
-    return static_cast<int>(pending_waves_.size()) < options_.max_pending_waves;
+    return static_cast<int>(pending_waves_.size()) < kMaxPendingWaves;
   });
   pending_waves_.push_back(std::move(demands));
   queue_cv_.notify_all();
 }
 
 TripleSource* TripleFactory::ViewFor(uint64_t tag, int member) {
-  std::lock_guard<std::mutex> lock(buffers_mu_);
-  auto key = std::make_pair(tag, member);
-  auto it = views_.find(key);
-  if (it != views_.end()) {
-    return it->second.get();
-  }
-  std::unique_ptr<Buffer>& buf = buffers_[key];
-  if (buf == nullptr) {
-    buf = std::make_unique<Buffer>();
-  }
-  auto [inserted, _] = views_.emplace(key, std::make_unique<View>(this, buf.get()));
-  return inserted->second.get();
+  return BufferFor(tag, member);
 }
 
 TripleFactoryStats TripleFactory::stats() const {
@@ -177,7 +120,7 @@ TripleFactory::Buffer* TripleFactory::BufferFor(uint64_t tag, int member) {
   std::lock_guard<std::mutex> lock(buffers_mu_);
   std::unique_ptr<Buffer>& buf = buffers_[{tag, member}];
   if (buf == nullptr) {
-    buf = std::make_unique<Buffer>();
+    buf = std::make_unique<Buffer>(this);
   }
   return buf.get();
 }
@@ -199,12 +142,13 @@ PeerIknp& TripleFactory::PairFor(net::NodeId self, net::NodeId peer) {
       options_.prg_seed * kSeedMix + 0xba5e,
       (static_cast<uint64_t>(self) << 32) | static_cast<uint32_t>(peer));
   auto pair = std::make_unique<PeerIknp>();
+  const net::SessionId session = kOfflineSessionNamespace;
   if (self < peer) {
-    pair->sender = std::make_unique<ot::IknpSender>(net_, self, peer, prg, options_.session);
-    pair->receiver = std::make_unique<ot::IknpReceiver>(net_, self, peer, prg, options_.session);
+    pair->sender = std::make_unique<ot::IknpSender>(net_, self, peer, prg, session);
+    pair->receiver = std::make_unique<ot::IknpReceiver>(net_, self, peer, prg, session);
   } else {
-    pair->receiver = std::make_unique<ot::IknpReceiver>(net_, self, peer, prg, options_.session);
-    pair->sender = std::make_unique<ot::IknpSender>(net_, self, peer, prg, options_.session);
+    pair->receiver = std::make_unique<ot::IknpReceiver>(net_, self, peer, prg, session);
+    pair->sender = std::make_unique<ot::IknpSender>(net_, self, peer, prg, session);
   }
   std::unique_ptr<PeerIknp>& slot = (*mine)[peer];
   slot = std::move(pair);
@@ -368,13 +312,13 @@ void TripleFactory::GenerateWave(const std::vector<TripleDemand>& demands_in) {
         for (size_t w = 0; w < twords; w++) {
           corrections.U64(pairs.r0[w] ^ pairs.r1[w] ^ a_cat[w]);
         }
-        net_->Send(self, peer, corrections.Take(), options_.session);
+        net_->Send(self, peer, corrections.Take(), kOfflineSessionNamespace);
         scatter(pairs.r0);
       };
       auto run_as_receiver = [&] {
         PackedBits b_cat = concat(/*use_a=*/false);
         ot::RandomOtChosen chosen = session.receiver->Extend(b_cat, total);
-        Bytes corrections = net_->Recv(self, peer, options_.session);
+        Bytes corrections = net_->Recv(self, peer, kOfflineSessionNamespace);
         DSTRESS_CHECK(corrections.size() == twords * 8);
         ByteReader reader(corrections);
         PackedBits delta(twords, 0);

@@ -1,6 +1,6 @@
 // Node-pair OT triple factory: the batched offline phase.
 //
-// The per-role path (OtTripleSource) gives every (role-group, member)
+// A per-role source (OtTripleSource) gives every (role-group, member)
 // instance its own IKNP sessions, so each role pays a 128-base-OT setup per
 // peer and issues tiny per-batch extends. On one executing node those roles
 // overwhelmingly face the same peer nodes — the factory exploits that:
@@ -22,7 +22,7 @@
 // dispatcher thread (with its own WorkerPool, so offline role tasks never
 // compete for the runtime's phase scheduler) and returns immediately; the
 // runtime enqueues iteration i+1's demand while iteration i evaluates
-// online. The queue is bounded (max_pending_waves) — Enqueue blocks when
+// online. The queue is bounded (kMaxPendingWaves) — Enqueue blocks when
 // the factory is that far ahead, which is the pool's backpressure.
 //
 // Fidelity contract: every share is derived from per-(group, member) PRG
@@ -54,8 +54,8 @@
 namespace dstress::mpc {
 
 // Session-id namespace (src/core/runtime.cc owns 1..7) for ALL OT-triple
-// traffic — factory waves and the legacy per-role path alike. Observers
-// classify a message as offline iff (session >> 60) == 8.
+// traffic — factory waves and per-role sources alike. Observers classify a
+// message as offline iff (session >> 60) == 8.
 inline constexpr net::SessionId kOfflineSessionNamespace = 8ULL << 60;
 
 // One role group's share of a wave: `parties[i]` hosts member i and will
@@ -69,14 +69,12 @@ struct TripleDemand {
 };
 
 struct TripleFactoryOptions {
-  net::SessionId session = kOfflineSessionNamespace;
   uint64_t prg_seed = 0;
   // Generate waves on a background dispatcher thread (Enqueue returns
-  // immediately, bounded by max_pending_waves). Off = Enqueue generates
+  // immediately, bounded by kMaxPendingWaves). Off = Enqueue generates
   // synchronously on the caller; the A/B knob behind the pipelined ==
   // unpipelined fidelity tests.
   bool pipeline = true;
-  int max_pending_waves = 2;
 };
 
 struct TripleFactoryStats {
@@ -87,34 +85,58 @@ struct TripleFactoryStats {
   uint64_t pair_sessions = 0;       // distinct node pairs with IKNP state
 };
 
-class TripleFactory {
+// Where the runtime draws OT triples from: it hands over one whole-phase
+// demand wave before the phase runs, then each (tag, member) role draws its
+// triples from a local view. TripleFactory is the production supply; the
+// per-role IKNP baseline (oracle/per_role_ot_supply.h) implements the same
+// interface for tests and benches.
+class TripleSupply {
  public:
+  virtual ~TripleSupply() = default;
+
+  // Registers one wave. Every (tag, member) gains `count` promised triples
+  // that ViewFor(tag, member) will hand out, in wave order.
+  virtual void Enqueue(std::vector<TripleDemand> demands) = 0;
+
+  // Local view over member `member`'s stream of `tag`, stable for the
+  // supply's lifetime. Drawing from it sends nothing, so the online phase
+  // needs no inter-node call-order coordination beyond each stream's order.
+  virtual TripleSource* ViewFor(uint64_t tag, int member) = 0;
+
+  virtual TripleFactoryStats stats() const = 0;
+};
+
+class TripleFactory : public TripleSupply {
+ public:
+  // Waves the pipelined dispatcher may run ahead of the online phase.
+  static constexpr int kMaxPendingWaves = 2;
+
   TripleFactory(net::Transport* net, TripleFactoryOptions options);
-  ~TripleFactory();
+  ~TripleFactory() override;
 
   TripleFactory(const TripleFactory&) = delete;
   TripleFactory& operator=(const TripleFactory&) = delete;
 
-  // Registers one offline wave. Every (tag, member) gains `count` promised
-  // triples; views fail fast (DSTRESS_CHECK) if consumption ever outruns
-  // what was promised, instead of deadlocking on triples that will never
-  // arrive. Blocks when max_pending_waves are already queued.
-  void Enqueue(std::vector<TripleDemand> demands);
+  // Views fail fast (DSTRESS_CHECK) if consumption ever outruns what was
+  // promised, instead of deadlocking on triples that will never arrive.
+  // Blocks when kMaxPendingWaves are already queued.
+  void Enqueue(std::vector<TripleDemand> demands) override;
 
-  // Blocking cursor view over member `member`'s stream of `tag`. Stable for
-  // the factory's lifetime; Generate blocks until the wave that promised
-  // the range has been dealt out. Views are local (no traffic), so
-  // consumers need no inter-node call-order coordination beyond their own
-  // stream order.
-  TripleSource* ViewFor(uint64_t tag, int member);
+  // A blocking cursor: Generate waits until the wave that promised the
+  // range has been dealt out.
+  TripleSource* ViewFor(uint64_t tag, int member) override;
 
-  TripleFactoryStats stats() const;
+  TripleFactoryStats stats() const override;
 
  private:
-  // Per-(tag, member) buffered stream: promised/generated/consumed are
-  // cumulative bit counts, `pending` holds [consumed, generated) with its
-  // front `cursor` bits already drawn.
-  struct Buffer {
+  // Per-(tag, member) buffered stream, which is also that role's view:
+  // promised/generated/consumed are cumulative bit counts, `pending` holds
+  // [consumed, generated) with its front `cursor` bits already drawn.
+  struct Buffer : TripleSource {
+    explicit Buffer(TripleFactory* owner) : factory(owner) {}
+    BitTriples Generate(size_t count) override;
+
+    TripleFactory* factory;
     std::mutex mu;
     std::condition_variable cv;
     BitTriples pending;
@@ -124,8 +146,6 @@ class TripleFactory {
     uint64_t consumed = 0;
     uint64_t waves_drawn = 0;  // PRG stream counter; generation side only
   };
-
-  class View;
 
   Buffer* BufferFor(uint64_t tag, int member);
   PeerIknp& PairFor(net::NodeId self, net::NodeId peer);
@@ -139,7 +159,6 @@ class TripleFactory {
 
   std::mutex buffers_mu_;
   std::map<std::pair<uint64_t, int>, std::unique_ptr<Buffer>> buffers_;
-  std::map<std::pair<uint64_t, int>, std::unique_ptr<View>> views_;
 
   // Established IKNP state per (self, peer). The outer map is guarded by
   // pairs_mu_; each inner per-self map is only ever touched by the worker

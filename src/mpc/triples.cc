@@ -4,8 +4,6 @@
 
 namespace dstress::mpc {
 
-namespace {
-
 using ot::GetBit;
 using ot::PackedWords;
 
@@ -15,7 +13,33 @@ PackedBits RandomPacked(crypto::ChaCha20Prg& prg, size_t words) {
   return out;
 }
 
-}  // namespace
+int TournamentRounds(int n) {
+  int m = (n % 2 == 0) ? n : n + 1;
+  return m - 1;
+}
+
+int TournamentPeer(int n, int me, int round) {
+  // Slot m-1 is fixed; the others rotate.
+  int m = (n % 2 == 0) ? n : n + 1;
+  auto slot_player = [&](int slot) -> int {
+    if (slot == m - 1) {
+      return m - 1;
+    }
+    return (round + slot) % (m - 1);
+  };
+  for (int k = 0; k < m / 2; k++) {
+    int p1 = slot_player(k);
+    int p2 = slot_player(m - 1 - k);
+    if (p1 == me || p2 == me) {
+      int peer = (p1 == me) ? p2 : p1;
+      if (peer >= n) {
+        return -1;  // bye against the padding slot
+      }
+      return peer;
+    }
+  }
+  return -1;
+}
 
 BitTriples SliceTriples(const BitTriples& src, size_t start, size_t count) {
   DSTRESS_CHECK(start + count <= src.count);
@@ -86,106 +110,40 @@ BitTriples DealerTripleSource::Generate(size_t count) {
   return mine;
 }
 
-std::unique_ptr<PeerIknp> IknpSessionCache::Take(net::NodeId self, net::NodeId peer,
-                                                 net::SessionId session) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find({self, peer, session});
-  if (it == entries_.end()) {
-    return nullptr;
-  }
-  std::unique_ptr<PeerIknp> pair = std::move(it->second);
-  entries_.erase(it);
-  return pair;
-}
-
-void IknpSessionCache::Put(net::NodeId self, net::NodeId peer, net::SessionId session,
-                           std::unique_ptr<PeerIknp> pair) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_[{self, peer, session}] = std::move(pair);
-}
-
 OtTripleSource::OtTripleSource(net::Transport* net, std::vector<net::NodeId> parties,
-                               int my_index, crypto::ChaCha20Prg prg, net::SessionId session,
-                               IknpSessionCache* cache)
+                               int my_index, crypto::ChaCha20Prg prg, net::SessionId session)
     : net_(net),
       parties_(std::move(parties)),
       my_index_(my_index),
       prg_(std::move(prg)),
-      session_(session),
-      cache_(cache) {
+      session_(session) {
   DSTRESS_CHECK(my_index_ >= 0 && my_index_ < static_cast<int>(parties_.size()));
-}
-
-OtTripleSource::~OtTripleSource() {
-  if (cache_ == nullptr) {
-    return;
-  }
-  net::NodeId self_node = parties_[my_index_];
-  for (auto& [peer, pair] : sessions_) {
-    cache_->Put(self_node, parties_[peer], session_, std::move(pair));
-  }
-}
-
-int OtTripleSource::RoundCount() const {
-  int n = static_cast<int>(parties_.size());
-  int m = (n % 2 == 0) ? n : n + 1;
-  return m - 1;
-}
-
-int OtTripleSource::PeerInRound(int round) const {
-  // Circle-method tournament over m players (m even; the last slot is a bye
-  // when the real party count is odd). Slot m-1 is fixed; the others rotate.
-  int n = static_cast<int>(parties_.size());
-  int m = (n % 2 == 0) ? n : n + 1;
-  auto slot_player = [&](int slot) -> int {
-    if (slot == m - 1) {
-      return m - 1;
-    }
-    return (round + slot) % (m - 1);
-  };
-  for (int k = 0; k < m / 2; k++) {
-    int p1 = slot_player(k);
-    int p2 = slot_player(m - 1 - k);
-    if (p1 == my_index_ || p2 == my_index_) {
-      int peer = (p1 == my_index_) ? p2 : p1;
-      if (peer >= n) {
-        return -1;  // bye against the padding slot
-      }
-      return peer;
-    }
-  }
-  return -1;
 }
 
 void OtTripleSource::EnsureSetup() {
   if (setup_done_) {
     return;
   }
-  for (int round = 0; round < RoundCount(); round++) {
-    int peer = PeerInRound(round);
+  const int n = static_cast<int>(parties_.size());
+  for (int round = 0; round < TournamentRounds(n); round++) {
+    int peer = TournamentPeer(n, my_index_, round);
     if (peer < 0) {
       continue;
     }
     net::NodeId self_node = parties_[my_index_];
     net::NodeId peer_node = parties_[peer];
-    std::unique_ptr<PeerIknp> session;
-    if (cache_ != nullptr) {
-      session = cache_->Take(self_node, peer_node, session_);
-    }
-    if (session == nullptr) {
-      session = std::make_unique<PeerIknp>();
-      if (my_index_ < peer) {
-        // Direction lower-as-extension-sender first, then the reverse.
-        session->sender =
-            std::make_unique<ot::IknpSender>(net_, self_node, peer_node, prg_, session_);
-        session->receiver =
-            std::make_unique<ot::IknpReceiver>(net_, self_node, peer_node, prg_, session_);
-      } else {
-        session->receiver =
-            std::make_unique<ot::IknpReceiver>(net_, self_node, peer_node, prg_, session_);
-        session->sender =
-            std::make_unique<ot::IknpSender>(net_, self_node, peer_node, prg_, session_);
-      }
+    auto session = std::make_unique<PeerIknp>();
+    if (my_index_ < peer) {
+      // Direction lower-as-extension-sender first, then the reverse.
+      session->sender =
+          std::make_unique<ot::IknpSender>(net_, self_node, peer_node, prg_, session_);
+      session->receiver =
+          std::make_unique<ot::IknpReceiver>(net_, self_node, peer_node, prg_, session_);
+    } else {
+      session->receiver =
+          std::make_unique<ot::IknpReceiver>(net_, self_node, peer_node, prg_, session_);
+      session->sender =
+          std::make_unique<ot::IknpSender>(net_, self_node, peer_node, prg_, session_);
     }
     sessions_.emplace(peer, std::move(session));
   }
@@ -206,8 +164,9 @@ BitTriples OtTripleSource::Generate(size_t count) {
   }
 
   net::NodeId self_node = parties_[my_index_];
-  for (int round = 0; round < RoundCount(); round++) {
-    int peer = PeerInRound(round);
+  const int n = static_cast<int>(parties_.size());
+  for (int round = 0; round < TournamentRounds(n); round++) {
+    int peer = TournamentPeer(n, my_index_, round);
     if (peer < 0) {
       continue;
     }

@@ -22,8 +22,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "src/crypto/chacha20.h"
@@ -58,25 +56,15 @@ struct PeerIknp {
   std::unique_ptr<ot::IknpReceiver> receiver;
 };
 
-// Shared pool of established IKNP sessions keyed by (self, peer, session).
-// An OtTripleSource constructed with a cache checks pairs out in
-// EnsureSetup and returns them on destruction, so a role that is destroyed
-// and re-created over the same session resumes the peer's OT-extension
-// stream instead of re-running the 128-base-OT setup (both sides must
-// regenerate symmetrically — the extension counters only advance on
-// collective Extend calls, so a cached pair is always stream-consistent
-// with its peer). Thread-safe.
-class IknpSessionCache {
- public:
-  std::unique_ptr<PeerIknp> Take(net::NodeId self, net::NodeId peer, net::SessionId session);
-  void Put(net::NodeId self, net::NodeId peer, net::SessionId session,
-           std::unique_ptr<PeerIknp> pair);
+// `words` 64-bit words of `prg` output.
+PackedBits RandomPacked(crypto::ChaCha20Prg& prg, size_t words);
 
- private:
-  std::mutex mu_;
-  std::map<std::tuple<net::NodeId, net::NodeId, net::SessionId>, std::unique_ptr<PeerIknp>>
-      entries_;
-};
+// Circle-method tournament over n players: rounds 0 .. TournamentRounds(n)-1
+// enumerate all unordered pairs, one perfect matching per round (a bye pads
+// odd n). TournamentPeer returns the player `me` meets in `round`, or -1
+// for its bye. Shared by OtTripleSource and the node-pair TripleFactory.
+int TournamentRounds(int n);
+int TournamentPeer(int n, int me, int round);
 
 // Copies triples [start, start+count) of `src` into a fresh BitTriples.
 // Used to split one bulk Generate across the instances of an EvalBatch.
@@ -110,30 +98,20 @@ class OtTripleSource : public TripleSource {
  public:
   // `parties` are the transport node ids of the group, `my_index` is this
   // party's position in that list. Base-OT setup with every peer happens
-  // lazily on the first Generate call. With a non-null `cache`, established
-  // peer sessions are checked out of / returned to the cache so a
-  // regenerated role reuses its base-OT setup (see IknpSessionCache).
+  // lazily on the first Generate call.
   OtTripleSource(net::Transport* net, std::vector<net::NodeId> parties, int my_index,
-                 crypto::ChaCha20Prg prg, net::SessionId session = 0,
-                 IknpSessionCache* cache = nullptr);
-  ~OtTripleSource() override;
+                 crypto::ChaCha20Prg prg, net::SessionId session = 0);
 
   BitTriples Generate(size_t count) override;
 
  private:
   void EnsureSetup();
-  // Tournament schedule: returns the peer index this party meets in
-  // `round`, or -1 for a bye. Rounds 0 .. RoundCount()-1 enumerate all
-  // unordered pairs with disjoint pairs per round.
-  int PeerInRound(int round) const;
-  int RoundCount() const;
 
   net::Transport* net_;
   std::vector<net::NodeId> parties_;
   int my_index_;
   crypto::ChaCha20Prg prg_;
   net::SessionId session_;
-  IknpSessionCache* cache_;
   bool setup_done_ = false;
   std::map<int, std::unique_ptr<PeerIknp>> sessions_;  // keyed by peer index
 };

@@ -25,7 +25,6 @@ epsilon 0.5
 leverage 0.2
 shock 0 1 2
 triples ot
-ot_batching off
 early_exit on
 seed 99
 )",
@@ -45,7 +44,6 @@ seed 99
   EXPECT_DOUBLE_EQ(spec->leverage, 0.2);
   EXPECT_EQ(spec->shock.shocked_banks, (std::vector<int>{0, 1, 2}));
   EXPECT_TRUE(spec->use_ot_triples);
-  EXPECT_FALSE(spec->ot_batching);
   EXPECT_TRUE(spec->cleartext_early_exit);
   EXPECT_EQ(spec->seed, 99u);
 }
@@ -61,7 +59,6 @@ TEST(ScenarioParseTest, DefaultsApply) {
   EXPECT_EQ(spec->block_size, 4);
   EXPECT_EQ(spec->aggregation_fanout, 0);
   EXPECT_FALSE(spec->use_ot_triples);
-  EXPECT_TRUE(spec->ot_batching);
   EXPECT_FALSE(spec->cleartext_early_exit);
 }
 
@@ -118,8 +115,11 @@ TEST(ScenarioParseTest, ErrorsCarryLineNumbers) {
       {"network scale_free 20 2\ntransfer_batching off\n",
        "line 2: unknown directive 'transfer_batching'"},
       {"network scale_free 20 2\ngraph_plane arena\n", "line 2: unknown directive 'graph_plane'"},
+      {"network scale_free 20 2\not_batching on\n", "line 2: unknown directive 'ot_batching'"},
+      {"network scale_free 20 2\not_batching off\n", "line 2: unknown directive 'ot_batching'"},
+      {"network scale_free 20 2\not_batching maybe\n", "line 2: unknown directive 'ot_batching'"},
+      {"network scale_free 20 2\not_batching\n", "line 2: unknown directive 'ot_batching'"},
       {"network scale_free 20 2\ntriples maybe\n", "triples must be"},
-      {"network scale_free 20 2\not_batching maybe\n", "ot_batching must be"},
       {"network scale_free 20 2\ntriples ot\nha checkpoint_every 1\n",
        "cannot be combined with HA checkpoint/resume"},
       {"network scale_free 20 2\nearly_exit maybe\n", "early_exit must be"},

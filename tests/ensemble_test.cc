@@ -345,7 +345,6 @@ TEST(EnsembleSecureGoldenTest, DealerWidthThree) {
 TEST(EnsembleSecureGoldenTest, NodePairOtFactoryWidthTwo) {
   RunSpec spec = WithExplicitScenarios(SecureBase(6, 1), {{0}, {2}});
   spec.use_ot_triples = true;
-  spec.ot_batching = true;
   ExpectSecureEnsembleMatchesGolden(spec, "secure ot factory W=2");
 }
 

@@ -3,7 +3,9 @@
 // deterministic view slices, deadlock-freedom under the tournament order
 // with mixed batch sizes, the O(roles x peers) -> O(node pairs) base-OT
 // dedup, and the fidelity contract — pipelined == unpipelined runs and
-// ot_batching on == off online traffic, bit for bit.
+// factory == per-role baseline online traffic, bit for bit. The per-role
+// baseline (oracle/per_role_ot_supply.h) is itself pinned to golden digests
+// of the per-role path it replaced in the runtime.
 #include "src/mpc/triple_factory.h"
 
 #include <gtest/gtest.h>
@@ -13,11 +15,13 @@
 #include <set>
 #include <vector>
 
+#include "oracle/per_role_ot_supply.h"
 #include "src/core/runtime.h"
 #include "src/core/vertex_program.h"
 #include "src/graph/graph.h"
 #include "src/net/transport_spec.h"
 #include "src/ot/base_ot.h"
+#include "tests/golden_digest.h"
 
 namespace dstress::mpc {
 namespace {
@@ -214,14 +218,24 @@ std::vector<mpc::BitVector> RingStates(int n) {
   return states;
 }
 
-core::RuntimeConfig OtConfig(bool ot_batching, bool ot_prefetch) {
+core::RuntimeConfig OtConfig(int aggregation_fanout = 0) {
   core::RuntimeConfig config;
   config.block_size = 3;
   config.seed = 11;
   config.use_ot_triples = true;
-  config.ot_batching = ot_batching;
-  config.ot_prefetch = ot_prefetch;
+  config.aggregation_fanout = aggregation_fanout;
   return config;
+}
+
+// The runtime's default supply with the dispatcher off: every wave is
+// generated synchronously at Enqueue.
+core::Runtime::TripleSupplyMaker UnpipelinedFactory(uint64_t run_seed) {
+  return [run_seed](net::Transport* net) {
+    TripleFactoryOptions options;
+    options.prg_seed = core::RolePrgSeed(run_seed, 0x78);
+    options.pipeline = false;
+    return std::make_unique<TripleFactory>(net, options);
+  };
 }
 
 // Per-node traffic meter that splits offline (session namespace 8, all
@@ -278,8 +292,8 @@ TEST(TripleFactoryTest, PipelinedRunMatchesUnpipelinedRunExactly) {
   graph::Graph g = Ring(kN);
   core::VertexProgram program = MakeSumProgram(1, 2);
 
-  core::Runtime pipelined(OtConfig(/*ot_batching=*/true, /*ot_prefetch=*/true), g, program);
-  core::Runtime unpipelined(OtConfig(/*ot_batching=*/true, /*ot_prefetch=*/false), g, program);
+  core::Runtime pipelined(OtConfig(), g, program);
+  core::Runtime unpipelined(OtConfig(), g, program, UnpipelinedFactory(OtConfig().seed));
   core::RunMetrics mp, mu;
   int64_t released_p = pipelined.Run(RingStates(kN), &mp);
   int64_t released_u = unpipelined.Run(RingStates(kN), &mu);
@@ -298,7 +312,7 @@ TEST(TripleFactoryTest, PipelinedRunMatchesUnpipelinedRunExactly) {
 }
 
 TEST(TripleFactoryTest, FactoryMatchesPerRoleBaselineAndDedupsBaseOts) {
-  // ot_batching on vs off over the same workload: identical released
+  // Factory vs per-role baseline over the same workload: identical released
   // figure, bit-identical per-node ONLINE traffic, and the factory's
   // base-OT executions drop from O(roles x peers) to O(node pairs) —
   // asserted structurally against the trusted setup's blocks.
@@ -306,8 +320,8 @@ TEST(TripleFactoryTest, FactoryMatchesPerRoleBaselineAndDedupsBaseOts) {
   graph::Graph g = Ring(kN);
   core::VertexProgram program = MakeSumProgram(1, 2);
 
-  core::Runtime baseline(OtConfig(/*ot_batching=*/false, /*ot_prefetch=*/true), g, program);
-  core::Runtime factory(OtConfig(/*ot_batching=*/true, /*ot_prefetch=*/true), g, program);
+  core::Runtime baseline(OtConfig(), g, program, oracle::PerRoleOtSupplyMaker(OtConfig().seed));
+  core::Runtime factory(OtConfig(), g, program);
   OnlineTrafficMeter baseline_meter, factory_meter;
   baseline.AttachObserver(&baseline_meter);
   factory.AttachObserver(&factory_meter);
@@ -355,6 +369,44 @@ TEST(TripleFactoryTest, FactoryMatchesPerRoleBaselineAndDedupsBaseOts) {
   // The factory overlaps offline generation with the online phase; its
   // metrics must surface that work.
   EXPECT_GT(mf.offline_seconds, 0.0);
+}
+
+// Solo runs of the ring workload above through the per-role path the
+// runtime used to carry (one OtTripleSource per (tag, member), drawn
+// inside each phase), recorded before that path left src/: released
+// figure, golden::HashTraffic over every node's bytes and messages sent
+// and received (offline included), total bytes, triples consumed and
+// base-OT executions. Fanout 2 runs leaf, combine and root levels of the
+// aggregation tree.
+struct PerRoleGolden {
+  int fanout;
+  int64_t released;
+  const char* traffic;
+  uint64_t total_bytes;
+  uint64_t triples;
+  uint64_t base_ots;
+};
+
+const PerRoleGolden kPerRoleGolden[] = {
+    {0, 120, "2e24acb990774b500176e5964403295ed1fc7b38c4c7597ea0527256f2ba1044", 305478, 429, 72},
+    {2, 120, "c35f985c944289cded6b6467e6c92c8735fd40d02c8be25978ee952139ef0c07", 405621, 501, 108},
+};
+
+TEST(PerRoleOtSupplyTest, ReproducesRetiredPerRolePathDigests) {
+  constexpr int kN = 5;
+  graph::Graph g = Ring(kN);
+  core::VertexProgram program = MakeSumProgram(1, 2);
+  for (const PerRoleGolden& want : kPerRoleGolden) {
+    SCOPED_TRACE("fanout " + std::to_string(want.fanout));
+    core::RuntimeConfig config = OtConfig(want.fanout);
+    core::Runtime runtime(config, g, program, oracle::PerRoleOtSupplyMaker(config.seed));
+    core::RunMetrics m;
+    EXPECT_EQ(runtime.Run(RingStates(kN), &m), want.released);
+    EXPECT_EQ(golden::HashTraffic(runtime.network()), want.traffic);
+    EXPECT_EQ(runtime.network().TotalBytes(), want.total_bytes);
+    EXPECT_EQ(m.triples_consumed, want.triples);
+    EXPECT_EQ(m.base_ot_executions, want.base_ots);
+  }
 }
 
 }  // namespace
