@@ -74,7 +74,7 @@ void AggregationTreeAblation() {
     params.noise.threshold_bits = 10;
 
     engine::RunSpec base;
-    base.graph = graph::Graph(n);  // no edges: isolates the aggregation phase
+    base.graph = graph::GraphBuilder(n).Build();  // no edges: isolates the aggregation phase
     base.model = engine::ContagionModel::kCustom;
     base.custom_program = programs::BuildPrivateSumProgram(params);
     std::vector<uint32_t> values(n, 7);

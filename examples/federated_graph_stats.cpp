@@ -40,10 +40,10 @@ int main() {
 
   // A two-cluster communication graph: organizations 0..19 and 20..31,
   // symmetric links, no cross-cluster edges.
-  graph::Graph g(32);
-  auto link = [&g](int u, int v) {
-    g.AddEdge(u, v);
-    g.AddEdge(v, u);
+  graph::GraphBuilder builder(32);
+  auto link = [&builder](int u, int v) {
+    builder.AddEdge(u, v);
+    builder.AddEdge(v, u);
   };
   for (int v = 1; v < 20; v++) {
     link(v, v < 4 ? 0 : v % 4);  // hub-ish first cluster around accounts 0..3
@@ -51,6 +51,7 @@ int main() {
   for (int v = 21; v < 32; v++) {
     link(v, 20 + (v - 20) / 3);
   }
+  const graph::Graph g = builder.Build();
   std::printf("graph: %d accounts, %d directed links, max degree %d\n", g.num_vertices(),
               g.num_edges(), g.MaxDegree());
 

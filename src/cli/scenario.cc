@@ -145,6 +145,10 @@ std::optional<engine::RunSpec> ParseScenario(const std::string& text, std::strin
           p.Fail("core_size exceeds N");
           return std::nullopt;
         }
+        if (spec.topology.core_size < 2) {
+          p.Fail("core_size must be at least 2");
+          return std::nullopt;
+        }
       } else if (topo == "scale_free") {
         spec.topology.kind = engine::TopologySpec::Kind::kScaleFree;
         if (p.tokens.size() != 4 || !p.Int(2, 2, &spec.topology.num_vertices) ||
@@ -152,6 +156,10 @@ std::optional<engine::RunSpec> ParseScenario(const std::string& text, std::strin
           if (error->empty()) {
             p.Fail("usage: network scale_free <N> <links_per_vertex>");
           }
+          return std::nullopt;
+        }
+        if (spec.topology.num_vertices <= spec.topology.links_per_vertex) {
+          p.Fail("scale_free N must exceed links_per_vertex");
           return std::nullopt;
         }
       } else if (topo == "erdos_renyi") {

@@ -116,7 +116,6 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
                  const VertexProgram& program, const TripleSupplyMaker& make_supply)
     : config_(config),
       graph_(graph),
-      edge_index_(graph),
       program_(program),
       update_circuit_(BuildUpdateCircuit(program)),
       update_plan_(update_circuit_) {
@@ -138,7 +137,7 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
   } else {
     // Auto-size: a run performs about |E|·(k+1)·L·I bit-sum lookups; budget
     // a 1e-6 total failure probability across all of them.
-    double draws = static_cast<double>(graph.Edges().size()) * config.block_size *
+    double draws = static_cast<double>(graph.num_edges()) * config.block_size *
                    program.message_bits * std::max(program.iterations, 1) *
                    std::max(config.ensemble_width, 1);
     transfer_params_.dlog_range =
@@ -156,7 +155,6 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
       config.transport.WithChannelHighWatermark(config.channel_high_watermark_bytes),
       graph.num_vertices());
   dlog_table_ = std::make_unique<crypto::DlogTable>(transfer_params_.dlog_range);
-  edges_ = graph.Edges();
 
   threads_target_ = ResolveThreadBudget(config.max_parallel_tasks);
   pool_ = std::make_unique<WorkerPool>(threads_target_);
@@ -301,7 +299,7 @@ uint64_t Runtime::ConfigFingerprint() const {
     }
   };
   mix(static_cast<uint64_t>(graph_.num_vertices()));
-  mix(static_cast<uint64_t>(edges_.size()));
+  mix(static_cast<uint64_t>(graph_.num_edges()));
   mix(static_cast<uint64_t>(config_.block_size));
   mix(static_cast<uint64_t>(program_.state_bits));
   mix(static_cast<uint64_t>(program_.message_bits));
@@ -507,17 +505,19 @@ void Runtime::CommunicatePhase(int scenario) {
   // bit-for-bit (offset 0, salt 0, same PRG instances).
   const size_t vertex_offset = static_cast<size_t>(scenario) * n;
   const uint64_t session_salt = static_cast<uint64_t>(scenario) << 40;
-  const uint64_t prg_base = static_cast<uint64_t>(scenario) * edges_.size();
+  const size_t num_edges = static_cast<size_t>(graph_.num_edges());
+  const uint64_t prg_base = static_cast<uint64_t>(scenario) * num_edges;
   if (noise_cache_ == nullptr) {
     noise_cache_ = std::make_unique<transfer::EvenNoiseCache>(dlog_table_->range());
   }
 
   // Sub-phase 1: all sender members of every edge, one batched encrypt per
   // edge sharing the certificate's fixed-base tables.
-  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
-    auto [i, j] = edges_[e];
+  pool_->RunGrouped(num_edges, 1, [&](size_t e, size_t) {
+    const int i = graph_.src(e);
+    const int j = graph_.dst(e);
     net::SessionId session = kTransferSession | session_salt | e;
-    const size_t out_slot = e - edge_index_.out_start(i);
+    const size_t out_slot = e - graph_.out_start(i);
     std::vector<mpc::BitVector> shares;
     std::vector<crypto::ChaCha20Prg> prgs;
     shares.reserve(k1);
@@ -535,8 +535,9 @@ void Runtime::CommunicatePhase(int scenario) {
   });
 
   // Sub-phase 2: node i aggregates + masks every edge's bundles.
-  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
-    auto [i, j] = edges_[e];
+  pool_->RunGrouped(num_edges, 1, [&](size_t e, size_t) {
+    const int i = graph_.src(e);
+    const int j = graph_.dst(e);
     net::SessionId session = kTransferSession | session_salt | e;
     std::vector<Bytes> bundles;
     bundles.reserve(k1);
@@ -550,10 +551,11 @@ void Runtime::CommunicatePhase(int scenario) {
 
   // Sub-phase 3: node j adjusts and fans the columns out (same Channel
   // burst as RunDestEndpoint, so per-node traffic accounting matches).
-  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
-    auto [i, j] = edges_[e];
+  pool_->RunGrouped(num_edges, 1, [&](size_t e, size_t) {
+    const int i = graph_.src(e);
+    const int j = graph_.dst(e);
     net::SessionId session = kTransferSession | session_salt | e;
-    const int in_slot = edge_index_.in_slot(e);
+    const int in_slot = graph_.in_slot(e);
     Bytes agg = net_->Recv(j, i, transfer::TransferSubSession(session, 1));
     std::vector<Bytes> columns =
         transfer::AdjustAndSplitWire(agg, setup_.neighbor_keys[j][in_slot], transfer_params_);
@@ -567,10 +569,10 @@ void Runtime::CommunicatePhase(int scenario) {
 
   // Sub-phase 4: all receiver members of every edge, one batched recovery
   // per edge sharing the c1 fixed-base table.
-  pool_->RunGrouped(edges_.size(), 1, [&](size_t e, size_t) {
-    auto [i, j] = edges_[e];
+  pool_->RunGrouped(num_edges, 1, [&](size_t e, size_t) {
+    const int j = graph_.dst(e);
     net::SessionId session = kTransferSession | session_salt | e;
-    const int in_slot = edge_index_.in_slot(e);
+    const int in_slot = graph_.in_slot(e);
     std::vector<Bytes> columns;
     std::vector<const transfer::MemberKeys*> keys;
     columns.reserve(k1);

@@ -61,7 +61,6 @@
 #include "src/core/setup.h"
 #include "src/core/vertex_program.h"
 #include "src/core/worker_pool.h"
-#include "src/graph/edge_index.h"
 #include "src/graph/graph.h"
 #include "src/mpc/gmw.h"
 #include "src/mpc/triple_factory.h"
@@ -291,10 +290,9 @@ class Runtime {
   int RestoreCheckpoint();
 
   RuntimeConfig config_;
+  // Mirror-slot CSR: edge e = (src(e), dst(e)) is src(e)'s out-slot
+  // e - out_start(src(e)) and dst(e)'s in-slot in_slot(e).
   const graph::Graph& graph_;
-  // Mirror-slot CSR over edges_: edge e = (i, j) is i's out-slot
-  // e - out_start(i) and j's in-slot in_slot(e).
-  graph::EdgeIndex edge_index_;
   VertexProgram program_;
   circuit::Circuit update_circuit_;
   // Precompiled layer structure of the update circuit, shared by every
@@ -324,7 +322,6 @@ class Runtime {
   // Offline phase (use_ot_triples): where every OT triple comes from.
   std::unique_ptr<mpc::TripleSupply> triple_supply_;
 
-  std::vector<std::pair<int, int>> edges_;
   int threads_target_ = 0;
   size_t last_aggregate_ands_ = 0;
 

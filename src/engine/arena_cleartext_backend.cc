@@ -72,7 +72,6 @@ class ArenaCleartextBackend : public ExecutionBackend {
  public:
   explicit ArenaCleartextBackend(const BackendContext& context)
       : graph_(*context.graph),
-        edge_index_(*context.edge_index),
         program_(*context.program),
         config_(context.runtime_config),
         early_exit_(context.spec != nullptr && context.spec->cleartext_early_exit),
@@ -96,7 +95,7 @@ class ArenaCleartextBackend : public ExecutionBackend {
     options.num_scenarios = 1;
     options.stride = 1;
     options.edge_session_base = kEdgeSession;
-    solo_plane_ = std::make_unique<graphplane::GraphPlane>(edge_index_, program_, update_plan_,
+    solo_plane_ = std::make_unique<graphplane::GraphPlane>(graph_, program_, update_plan_,
                                                            pool_.get(), net_.get(), options);
   }
 
@@ -322,7 +321,6 @@ class ArenaCleartextBackend : public ExecutionBackend {
   }
 
   const graph::Graph& graph_;
-  const graph::EdgeIndex& edge_index_;
   core::VertexProgram program_;
   core::RuntimeConfig config_;
   bool early_exit_ = false;
@@ -436,7 +434,7 @@ std::vector<int64_t> ArenaCleartextBackend::Execute(
       options.stride = stride;
       options.edge_session_base = kEdgeSession;
       chunk_plane = std::make_unique<graphplane::GraphPlane>(
-          edge_index_, program_, update_plan_, pool_.get(), net_.get(), options);
+          graph_, program_, update_plan_, pool_.get(), net_.get(), options);
       plane = chunk_plane.get();
       PackLaneChunk(lanes, chunk_lo, num_scenarios, stride, program_.state_bits,
                     &plane->input_matrix());

@@ -24,7 +24,7 @@
 
 #include "src/core/runtime.h"
 #include "src/engine/run_spec.h"
-#include "src/graph/edge_index.h"
+#include "src/graph/graph.h"
 #include "src/net/transport.h"
 
 namespace dstress::engine {
@@ -34,9 +34,6 @@ namespace dstress::engine {
 struct BackendContext {
   const RunSpec* spec = nullptr;
   const graph::Graph* graph = nullptr;
-  // The graph's mirror-slot CSR, built once by the Engine and shared by
-  // every consumer (the cleartext plane's delivery step).
-  const graph::EdgeIndex* edge_index = nullptr;
   const core::VertexProgram* program = nullptr;
   // Schedule knobs, already derived from the spec (block size, fanout,
   // triple source, seed, transfer parameters).

@@ -64,17 +64,16 @@ struct EnModel {
   static void Shock(Instance& instance, const finance::ShockParams& shock) {
     finance::ApplyEnShock(instance, shock);
   }
-  static std::vector<mpc::BitVector> States(const Instance& instance, const Params& params,
-                                            const graph::EdgeIndex& index) {
-    return finance::MakeEnInitialStates(instance, params, index);
+  static std::vector<mpc::BitVector> States(const Instance& instance, const Params& params) {
+    return finance::MakeEnInitialStates(instance, params);
   }
   // The reference TDS; with `defaults`, also which banks end with a
   // prorate below one.
   static uint64_t Reference(const Instance& instance, const Params& params,
-                            const graph::EdgeIndex& index, std::vector<uint8_t>* defaults) {
+                            std::vector<uint8_t>* defaults) {
     std::vector<uint64_t> prorate;
     const uint64_t tds =
-        finance::EnSolveFixed(instance, params, index, defaults != nullptr ? &prorate : nullptr);
+        finance::EnSolveFixed(instance, params, defaults != nullptr ? &prorate : nullptr);
     for (uint64_t p : prorate) {
       defaults->push_back(p < params.format.One() ? 1 : 0);
     }
@@ -96,17 +95,16 @@ struct EgjModel {
   static void Shock(Instance& instance, const finance::ShockParams& shock) {
     finance::ApplyEgjShock(instance, shock);
   }
-  static std::vector<mpc::BitVector> States(const Instance& instance, const Params& params,
-                                            const graph::EdgeIndex&) {
+  static std::vector<mpc::BitVector> States(const Instance& instance, const Params& params) {
     return finance::MakeEgjInitialStates(instance, params);
   }
   // The reference TDS; with `defaults`, also which banks end below their
   // failure threshold.
   static uint64_t Reference(const Instance& instance, const Params& params,
-                            const graph::EdgeIndex& index, std::vector<uint8_t>* defaults) {
+                            std::vector<uint8_t>* defaults) {
     std::vector<uint64_t> values;
     const uint64_t tds =
-        finance::EgjSolveFixed(instance, params, index, defaults != nullptr ? &values : nullptr);
+        finance::EgjSolveFixed(instance, params, defaults != nullptr ? &values : nullptr);
     for (size_t v = 0; v < values.size(); v++) {
       defaults->push_back(values[v] < instance.threshold[v] ? 1 : 0);
     }
@@ -127,7 +125,6 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
     built_graph_.emplace(BuildTopologyGraph(spec_.topology, spec_.seed));
     graph_ = &*built_graph_;
   }
-  edge_index_.emplace(*graph_);
   const int n = graph_->num_vertices();
   DSTRESS_CHECK(n > 0);
   const int degree_bound =
@@ -161,7 +158,6 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
   BackendContext context;
   context.spec = &spec_;
   context.graph = graph_;
-  context.edge_index = &*edge_index_;
   context.program = &program_;
   context.runtime_config = DeriveRuntimeConfig(spec_);
   backend_ = MakeExecutionBackend(spec_.mode, context);
@@ -196,8 +192,8 @@ void Engine::CompileModel(int degree_bound) {
       scenario_workload.seed = workload_seed.value_or(workload.seed);
       instance = Model::Workload(*graph_, scenario_workload, shock);
     }
-    *lane = Model::States(instance, params, *edge_index_);
-    return Model::Reference(instance, params, *edge_index_, defaults);
+    *lane = Model::States(instance, params);
+    return Model::Reference(instance, params, defaults);
   };
 
   base_lane_.resize(1);

@@ -29,7 +29,7 @@
 
 #include "src/engine/run_spec.h"
 #include "src/ensemble/ensemble.h"
-#include "src/graph/edge_index.h"
+#include "src/graph/graph.h"
 #include "src/net/transport.h"
 
 namespace dstress::engine {
@@ -85,10 +85,6 @@ class Engine {
   // topology spec.
   std::optional<graph::Graph> built_graph_;
   const graph::Graph* graph_ = nullptr;
-  // The graph's mirror-slot CSR, built once right after the graph: the
-  // reference solve, the initial-state packers (solo and every ensemble
-  // scenario) and the cleartext plane all read it.
-  std::optional<graph::EdgeIndex> edge_index_;
   core::VertexProgram program_;
   // The base scenario (spec shock and workload) as a one-lane Execute input.
   std::vector<std::vector<mpc::BitVector>> base_lane_;

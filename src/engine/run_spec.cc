@@ -77,11 +77,11 @@ graph::Graph BuildUncapped(const TopologySpec& topology, Rng& rng) {
     case TopologySpec::Kind::kErdosRenyi:
       return graph::GenerateErdosRenyi(topology.num_vertices, topology.edge_probability, rng);
     case TopologySpec::Kind::kExplicit: {
-      graph::Graph g(topology.num_vertices);
+      graph::GraphBuilder g(topology.num_vertices);
       for (auto [u, v] : topology.edges) {
         g.AddEdge(u, v);
       }
-      return g;
+      return g.Build();
     }
   }
   DSTRESS_CHECK(false);

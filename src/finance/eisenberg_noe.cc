@@ -26,13 +26,13 @@ Word Slice(const Word& state, int index, int width) {
 }
 
 // Every edge's saturated debt, stored at the creditor's flat in-slot.
-std::vector<uint64_t> CreditsByInSlot(const EnInstance& instance, const FixedPointFormat& format,
-                                      const graph::EdgeIndex& index) {
-  std::vector<uint64_t> credit(index.num_edges());
-  for (int u = 0; u < index.num_vertices(); u++) {
-    const size_t first = index.out_start(u);
-    for (size_t e = first; e < index.out_start(u + 1); e++) {
-      credit[index.in_flat(e)] = format.SaturateValue(instance.debts[u][e - first]);
+std::vector<uint64_t> CreditsByInSlot(const EnInstance& instance, const FixedPointFormat& format) {
+  const graph::Graph& g = *instance.graph;
+  std::vector<uint64_t> credit(static_cast<size_t>(g.num_edges()));
+  for (int u = 0; u < g.num_vertices(); u++) {
+    const size_t first = g.out_start(u);
+    for (size_t e = first; e < g.out_start(u + 1); e++) {
+      credit[g.in_flat(e)] = format.SaturateValue(instance.debts[u][e - first]);
     }
   }
   return credit;
@@ -136,16 +136,11 @@ core::VertexProgram MakeEnProgram(const EnProgramParams& params) {
 
 std::vector<mpc::BitVector> MakeEnInitialStates(const EnInstance& instance,
                                                 const EnProgramParams& params) {
-  return MakeEnInitialStates(instance, params, graph::EdgeIndex(*instance.graph));
-}
-
-std::vector<mpc::BitVector> MakeEnInitialStates(const EnInstance& instance,
-                                                const EnProgramParams& params,
-                                                const graph::EdgeIndex& index) {
-  const int n = index.num_vertices();
+  const graph::Graph& g = *instance.graph;
+  const int n = g.num_vertices();
   const int w = params.format.value_bits;
   const int d_bound = params.degree_bound;
-  const std::vector<uint64_t> credit = CreditsByInSlot(instance, params.format, index);
+  const std::vector<uint64_t> credit = CreditsByInSlot(instance, params.format);
   auto put = [w](mpc::BitVector* state, int word, uint64_t value) {
     mpc::PutWordBits(state, static_cast<size_t>(word) * w, value, w);
   };
@@ -157,14 +152,14 @@ std::vector<mpc::BitVector> MakeEnInitialStates(const EnInstance& instance,
     put(&state, 0, params.format.SaturateValue(instance.cash[v]));
     put(&state, 1, params.format.SaturateValue(instance.TotalDebtOf(v)));
     put(&state, 2, params.format.One());  // prorate = 1.0
-    const int out_slots = std::min(index.out_degree(v), d_bound);
+    const int out_slots = std::min(g.OutDegree(v), d_bound);
     for (int d = 0; d < out_slots; d++) {
       put(&state, 3 + d, params.format.SaturateValue(instance.debts[v][d]));
     }
     // In-slot credits: what the in-neighbor owes me.
-    const int in_slots = std::min(index.in_degree(v), d_bound);
+    const int in_slots = std::min(g.InDegree(v), d_bound);
     for (int d = 0; d < in_slots; d++) {
-      put(&state, 3 + d_bound + d, credit[index.in_start(v) + static_cast<size_t>(d)]);
+      put(&state, 3 + d_bound + d, credit[g.in_start(v) + static_cast<size_t>(d)]);
     }
   }
   return states;
@@ -172,12 +167,8 @@ std::vector<mpc::BitVector> MakeEnInitialStates(const EnInstance& instance,
 
 uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
                       std::vector<uint64_t>* prorate_out) {
-  return EnSolveFixed(instance, params, graph::EdgeIndex(*instance.graph), prorate_out);
-}
-
-uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
-                      const graph::EdgeIndex& index, std::vector<uint64_t>* prorate_out) {
-  const int n = index.num_vertices();
+  const graph::Graph& g = *instance.graph;
+  const int n = g.num_vertices();
   const int f = params.format.frac_bits;
   const uint64_t one = params.format.One();
   const uint64_t max_value = params.format.MaxValue();
@@ -190,12 +181,12 @@ uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
   // Flat arrays: per in-slot, the credit it is owed and the last shortfall
   // notice it received; per out-edge, its debt and the in-slot its notice
   // lands in.
-  const std::vector<uint64_t> credit = CreditsByInSlot(instance, params.format, index);
-  std::vector<uint64_t> shortfall_in(index.num_edges(), 0);
-  std::vector<uint64_t> debt(index.num_edges());
-  std::vector<size_t> target(index.num_edges());
+  const std::vector<uint64_t> credit = CreditsByInSlot(instance, params.format);
+  std::vector<uint64_t> shortfall_in(credit.size(), 0);
+  std::vector<uint64_t> debt(credit.size());
+  std::vector<size_t> target(credit.size());
   for (size_t e = 0; e < target.size(); e++) {
-    target[e] = index.in_flat(e);
+    target[e] = g.in_flat(e);
     debt[e] = credit[target[e]];
   }
   std::vector<uint64_t> prorate(n, one);
@@ -205,7 +196,7 @@ uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
   for (int step = 0; step <= params.iterations; step++) {
     for (int v = 0; v < n; v++) {
       uint64_t liquid = cash[v];
-      for (size_t k = index.in_start(v); k < index.in_start(v + 1); k++) {
+      for (size_t k = g.in_start(v); k < g.in_start(v + 1); k++) {
         liquid += shortfall_in[k] > credit[k] ? 0 : credit[k] - shortfall_in[k];
       }
       liquid = std::min(liquid, max_value);
@@ -218,7 +209,7 @@ uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
     // Communication: update shortfall notices.
     for (int v = 0; v < n; v++) {
       uint64_t unpaid_frac = one - prorate[v];
-      for (size_t e = index.out_start(v); e < index.out_start(v + 1); e++) {
+      for (size_t e = g.out_start(v); e < g.out_start(v + 1); e++) {
         shortfall_in[target[e]] = (debt[e] * unpaid_frac) >> f;
       }
     }

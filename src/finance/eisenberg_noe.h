@@ -21,7 +21,6 @@
 
 #include "src/core/vertex_program.h"
 #include "src/finance/fixed_point.h"
-#include "src/graph/edge_index.h"
 #include "src/graph/graph.h"
 #include "src/mpc/sharing.h"
 
@@ -51,23 +50,15 @@ struct EnProgramParams {
 core::VertexProgram MakeEnProgram(const EnProgramParams& params);
 
 // Packs the per-vertex initial states in the layout the program's circuits
-// expect. `index` must be built from instance.graph; the overload without
-// it builds one.
+// expect.
 std::vector<mpc::BitVector> MakeEnInitialStates(const EnInstance& instance,
                                                 const EnProgramParams& params);
-std::vector<mpc::BitVector> MakeEnInitialStates(const EnInstance& instance,
-                                                const EnProgramParams& params,
-                                                const graph::EdgeIndex& index);
 
 // Host-side integer simulation with exactly the circuit's fixed-point
 // arithmetic (same division, clamps and widths). Returns the exact
 // (unnoised) TDS in money units and optionally the per-vertex prorate
-// words. Runs on flat per-in-slot arrays through `index` (built from
-// instance.graph); the overload without it builds one.
+// words. Runs on flat per-in-slot arrays over instance.graph's CSR.
 uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
-                      std::vector<uint64_t>* prorate_out = nullptr);
-uint64_t EnSolveFixed(const EnInstance& instance, const EnProgramParams& params,
-                      const graph::EdgeIndex& index,
                       std::vector<uint64_t>* prorate_out = nullptr);
 
 // Double-precision reference of the economic model (pro-rata clearing

@@ -139,7 +139,7 @@ std::vector<mpc::BitVector> MakeEgjInitialStates(const EgjInstance& instance,
     put(&state, 2, instance.orig_val[v]);  // value starts at the initial valuation
     put(&state, 3, instance.threshold[v]);
     put(&state, 4, instance.penalty[v]);
-    const std::vector<int>& in = g.InNeighbors(v);
+    const graph::VertexRange in = g.InNeighbors(v);
     const int in_slots = std::min(static_cast<int>(in.size()), d_bound);
     for (int d = 0; d < in_slots; d++) {
       put(&state, 5 + d, instance.insh[v][d]);
@@ -151,13 +151,8 @@ std::vector<mpc::BitVector> MakeEgjInitialStates(const EgjInstance& instance,
 
 uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& params,
                        std::vector<uint64_t>* values_out) {
-  return EgjSolveFixed(instance, params, graph::EdgeIndex(*instance.graph), values_out);
-}
-
-uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& params,
-                       const graph::EdgeIndex& index, std::vector<uint64_t>* values_out) {
   const graph::Graph& g = *instance.graph;
-  const int n = index.num_vertices();
+  const int n = g.num_vertices();
   const int f = params.format.frac_bits;
   const uint64_t one = params.format.One();
   const uint64_t max_value = params.format.MaxValue();
@@ -167,18 +162,18 @@ uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& para
   // Flat in-slot arrays: the holder's share, the issuer's initial
   // valuation and the last discount notice received; target[e] is the
   // in-slot out-edge e's notice lands in.
-  const size_t num_slots = index.num_edges();
+  const size_t num_slots = static_cast<size_t>(g.num_edges());
   std::vector<uint64_t> share(num_slots), nbr_orig(num_slots), discount_in(num_slots, 0);
   for (int v = 0; v < n; v++) {
-    const std::vector<int>& in = g.InNeighbors(v);
+    const graph::VertexRange in = g.InNeighbors(v);
     for (size_t d = 0; d < in.size(); d++) {
-      share[index.in_start(v) + d] = sat(instance.insh[v][d]);
-      nbr_orig[index.in_start(v) + d] = sat(instance.orig_val[in[d]]);
+      share[g.in_start(v) + d] = sat(instance.insh[v][d]);
+      nbr_orig[g.in_start(v) + d] = sat(instance.orig_val[in[d]]);
     }
   }
   std::vector<size_t> target(num_slots);
   for (size_t e = 0; e < num_slots; e++) {
-    target[e] = index.in_flat(e);
+    target[e] = g.in_flat(e);
   }
   std::vector<uint64_t> value(n);
   for (int v = 0; v < n; v++) {
@@ -188,7 +183,7 @@ uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& para
   for (int step = 0; step <= params.iterations; step++) {
     for (int v = 0; v < n; v++) {
       uint64_t acc = sat(instance.base[v]);
-      for (size_t k = index.in_start(v); k < index.in_start(v + 1); k++) {
+      for (size_t k = g.in_start(v); k < g.in_start(v + 1); k++) {
         uint64_t remain = one - std::min(discount_in[k], one);
         uint64_t nbr_value = (nbr_orig[k] * remain) >> f;
         acc += (share[k] * nbr_value) >> f;
@@ -208,7 +203,7 @@ uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& para
       uint64_t orig = sat(instance.orig_val[v]);
       uint64_t ratio = orig == 0 ? one : std::min(one, (value[v] << f) / orig);
       uint64_t discount = one - ratio;
-      for (size_t e = index.out_start(v); e < index.out_start(v + 1); e++) {
+      for (size_t e = g.out_start(v); e < g.out_start(v + 1); e++) {
         discount_in[target[e]] = discount;
       }
     }

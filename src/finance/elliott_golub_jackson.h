@@ -19,7 +19,6 @@
 
 #include "src/core/vertex_program.h"
 #include "src/finance/fixed_point.h"
-#include "src/graph/edge_index.h"
 #include "src/graph/graph.h"
 #include "src/mpc/sharing.h"
 
@@ -51,12 +50,8 @@ std::vector<mpc::BitVector> MakeEgjInitialStates(const EgjInstance& instance,
                                                  const EgjProgramParams& params);
 
 // Host integer mirror of the circuit arithmetic; returns the unnoised TDS.
-// Runs on flat per-in-slot arrays through `index` (built from
-// instance.graph); the overload without it builds one.
+// Runs on flat per-in-slot arrays over instance.graph's CSR.
 uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& params,
-                       std::vector<uint64_t>* values_out = nullptr);
-uint64_t EgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& params,
-                       const graph::EdgeIndex& index,
                        std::vector<uint64_t>* values_out = nullptr);
 
 // Double-precision reference (insh words are interpreted through `format`).

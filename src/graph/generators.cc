@@ -9,7 +9,7 @@ namespace dstress::graph {
 Graph GenerateCorePeriphery(const CorePeripheryParams& params, Rng& rng) {
   DSTRESS_CHECK(params.core_size >= 2 && params.core_size <= params.num_vertices);
   DSTRESS_CHECK(params.max_core_links >= 1);
-  Graph g(params.num_vertices);
+  GraphBuilder g(params.num_vertices);
   // Dense core: vertices [0, core_size).
   for (int u = 0; u < params.core_size; u++) {
     for (int v = u + 1; v < params.core_size; v++) {
@@ -33,13 +33,13 @@ Graph GenerateCorePeriphery(const CorePeripheryParams& params, Rng& rng) {
       g.AddEdge(core, v);
     }
   }
-  return g;
+  return g.Build();
 }
 
 Graph GenerateScaleFree(int num_vertices, int links_per_vertex, Rng& rng) {
   DSTRESS_CHECK(links_per_vertex >= 1);
   DSTRESS_CHECK(num_vertices > links_per_vertex);
-  Graph g(num_vertices);
+  GraphBuilder g(num_vertices);
   // Repeated-endpoint list realizes preferential attachment: a vertex
   // appears once per incident link, so sampling the list is
   // degree-proportional.
@@ -54,26 +54,29 @@ Graph GenerateScaleFree(int num_vertices, int links_per_vertex, Rng& rng) {
       endpoints.push_back(v);
     }
   }
+  // An arriving vertex is in no edge yet, so its links so far are the only
+  // possible repeats, and no mirror edge (target, v) can exist already.
+  std::vector<int> targets;
   for (int v = seed; v < num_vertices; v++) {
-    int added = 0;
+    targets.clear();
     // Retry loop handles duplicate targets.
-    while (added < links_per_vertex) {
+    while (static_cast<int>(targets.size()) < links_per_vertex) {
       int target = endpoints[rng.Below(endpoints.size())];
-      if (target == v || g.HasEdge(v, target)) {
+      if (target == v || std::find(targets.begin(), targets.end(), target) != targets.end()) {
         continue;
       }
+      targets.push_back(target);
       g.AddEdge(v, target);
       g.AddEdge(target, v);
       endpoints.push_back(v);
       endpoints.push_back(target);
-      added++;
     }
   }
-  return g;
+  return g.Build();
 }
 
 Graph GenerateErdosRenyi(int num_vertices, double edge_probability, Rng& rng) {
-  Graph g(num_vertices);
+  GraphBuilder g(num_vertices);
   for (int u = 0; u < num_vertices; u++) {
     for (int v = u + 1; v < num_vertices; v++) {
       if (rng.Uniform() < edge_probability) {
@@ -82,18 +85,22 @@ Graph GenerateErdosRenyi(int num_vertices, double edge_probability, Rng& rng) {
       }
     }
   }
-  return g;
+  return g.Build();
 }
 
 Graph CapDegree(const Graph& g, int max_degree) {
   DSTRESS_CHECK(max_degree >= 1);
-  Graph capped(g.num_vertices());
+  GraphBuilder capped(g.num_vertices());
+  std::vector<int> out_count(g.num_vertices(), 0);
+  std::vector<int> in_count(g.num_vertices(), 0);
   for (auto [u, v] : g.Edges()) {
-    if (capped.OutDegree(u) < max_degree && capped.InDegree(v) < max_degree) {
+    if (out_count[u] < max_degree && in_count[v] < max_degree) {
+      out_count[u]++;
+      in_count[v]++;
       capped.AddEdge(u, v);
     }
   }
-  return capped;
+  return capped.Build();
 }
 
 }  // namespace dstress::graph

@@ -18,7 +18,7 @@ std::optional<Graph> ParseEdgeList(const std::string& text, std::string* error) 
   std::istringstream stream(text);
   std::string line;
   int line_number = 0;
-  std::optional<Graph> g;
+  std::optional<GraphBuilder> g;
   auto fail = [error, &line_number](const std::string& what) {
     *error = "line " + std::to_string(line_number) + ": " + what;
     return std::nullopt;
@@ -65,7 +65,7 @@ std::optional<Graph> ParseEdgeList(const std::string& text, std::string* error) 
     *error = "missing 'graph <N>' header";
     return std::nullopt;
   }
-  return g;
+  return g->Build();
 }
 
 std::optional<Graph> LoadEdgeListFile(const std::string& path, std::string* error) {

@@ -61,14 +61,14 @@ void PackSoloStates(const std::vector<mpc::BitVector>& states, mpc::PackedShareM
   }
 }
 
-GraphPlane::GraphPlane(const graph::EdgeIndex& edges, const core::VertexProgram& program,
+GraphPlane::GraphPlane(const graph::Graph& graph, const core::VertexProgram& program,
                        const circuit::EvalPlan& update_plan, core::WorkerPool* pool,
                        net::Transport* net, Options options)
-    : edges_(edges),
+    : graph_(graph),
       update_plan_(update_plan),
       pool_(pool),
       net_(net),
-      n_(edges.num_vertices()),
+      n_(graph.num_vertices()),
       sb_(program.state_bits),
       mb_(program.message_bits),
       degree_bound_(program.degree_bound),
@@ -105,14 +105,13 @@ GraphPlane::GraphPlane(const graph::EdgeIndex& edges, const core::VertexProgram&
   const uint64_t payload_bytes =
       (static_cast<uint64_t>(mb_) * static_cast<uint64_t>(num_scenarios_) + 7) / 8;
   edge_delta_.resize(static_cast<size_t>(n_));
-  for (int v = 0; v < n_; v++) {
-    for (size_t e = edges_.out_start(v); e < edges_.out_start(v + 1); e++) {
-      const int dst = edges_.dst(e);
-      edge_delta_[static_cast<size_t>(v)].bytes_sent += payload_bytes;
-      edge_delta_[static_cast<size_t>(v)].messages_sent += 1;
-      edge_delta_[static_cast<size_t>(dst)].bytes_received += payload_bytes;
-      edge_delta_[static_cast<size_t>(dst)].messages_received += 1;
-    }
+  for (size_t e = 0; e < static_cast<size_t>(graph_.num_edges()); e++) {
+    net::TrafficStats& sender = edge_delta_[static_cast<size_t>(graph_.src(e))];
+    net::TrafficStats& receiver = edge_delta_[static_cast<size_t>(graph_.dst(e))];
+    sender.bytes_sent += payload_bytes;
+    sender.messages_sent += 1;
+    receiver.bytes_received += payload_bytes;
+    receiver.messages_received += 1;
   }
 
   in_mat_ = mpc::PackedShareMatrix(update_plan_.num_inputs(), lanes_);
@@ -237,16 +236,16 @@ void GraphPlane::DeliverDirtyGroups() {
         const size_t group_lane = v * static_cast<size_t>(stride_);
         const int shift = static_cast<int>(group_lane & 63);
         dirty &= ~(group_mask_ << shift);
-        if (slot >= edges_.out_degree(static_cast<int>(v))) {
+        if (slot >= graph_.OutDegree(static_cast<int>(v))) {
           continue;  // padded slot: the update emits it but no edge carries it
         }
-        const size_t e = edges_.out_start(static_cast<int>(v)) + static_cast<size_t>(slot);
-        const size_t dest_lane = static_cast<size_t>(edges_.dst(e)) * stride_;
+        const size_t e = graph_.out_start(static_cast<int>(v)) + static_cast<size_t>(slot);
+        const size_t dest_lane = static_cast<size_t>(graph_.dst(e)) * stride_;
         const size_t dest_word = dest_lane >> 6;
         const int dest_shift = static_cast<int>(dest_lane & 63);
         const size_t src_row0 = static_cast<size_t>(slot) * mb_;
         const size_t dst_row0 =
-            static_cast<size_t>(sb_) + static_cast<size_t>(edges_.in_slot(e)) * mb_;
+            static_cast<size_t>(sb_) + static_cast<size_t>(graph_.in_slot(e)) * mb_;
         for (int r = 0; r < mb_; r++) {
           const uint64_t bits =
               (out_msg_mat_.row(src_row0 + static_cast<size_t>(r))[w] >> shift) & group_mask_;
@@ -273,8 +272,8 @@ void GraphPlane::SendAllEdges() {
     const size_t lane = static_cast<size_t>(v) * stride_;
     const size_t w = lane >> 6;
     const int shift = static_cast<int>(lane & 63);
-    for (int slot = 0; slot < edges_.out_degree(v); slot++) {
-      const size_t e = edges_.out_start(v) + static_cast<size_t>(slot);
+    for (int slot = 0; slot < graph_.OutDegree(v); slot++) {
+      const size_t e = graph_.out_start(v) + static_cast<size_t>(slot);
       Bytes payload(payload_bytes, 0);
       for (int r = 0; r < mb_; r++) {
         const uint64_t bits =
@@ -284,19 +283,19 @@ void GraphPlane::SendAllEdges() {
         InsertBits(&payload, static_cast<size_t>(r) * static_cast<size_t>(s_count), bits,
                    s_count);
       }
-      net_->Send(v, edges_.dst(e), std::move(payload), session_base_ | e);
+      net_->Send(v, graph_.dst(e), std::move(payload), session_base_ | e);
     }
   }
   for (int v = 0; v < n_; v++) {
-    for (size_t e = edges_.out_start(v); e < edges_.out_start(v + 1); e++) {
-      const int j = edges_.dst(e);
+    for (size_t e = graph_.out_start(v); e < graph_.out_start(v + 1); e++) {
+      const int j = graph_.dst(e);
       Bytes raw = net_->Recv(j, v, session_base_ | e);
       DSTRESS_CHECK(raw.size() == payload_bytes);
       const size_t dest_lane = static_cast<size_t>(j) * stride_;
       const size_t dest_word = dest_lane >> 6;
       const int dest_shift = static_cast<int>(dest_lane & 63);
       const size_t dst_row0 =
-          static_cast<size_t>(sb_) + static_cast<size_t>(edges_.in_slot(e)) * mb_;
+          static_cast<size_t>(sb_) + static_cast<size_t>(graph_.in_slot(e)) * mb_;
       bool changed = false;
       for (int r = 0; r < mb_; r++) {
         const uint64_t bits =

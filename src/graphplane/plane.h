@@ -45,7 +45,7 @@
 #include "src/common/bytes.h"
 #include "src/core/vertex_program.h"
 #include "src/core/worker_pool.h"
-#include "src/graph/edge_index.h"
+#include "src/graph/graph.h"
 #include "src/mpc/packed.h"
 #include "src/net/transport.h"
 
@@ -84,12 +84,12 @@ class GraphPlane {
     bool bulk_metered = false;     // last CommunicateStep used bulk metering
   };
 
-  // References must outlive the plane. `edges` is the graph's mirror-slot
-  // CSR (edge e = edges.out_start(v) + slot is v's slot-th out-edge,
-  // landing in in-slot edges.in_slot(e) of edges.dst(e)). `update_plan` is
+  // References must outlive the plane. `graph` is the mirror-slot CSR
+  // (edge e = graph.out_start(v) + slot is v's slot-th out-edge, landing in
+  // in-slot graph.in_slot(e) of graph.dst(e)). `update_plan` is
   // the program's update circuit plan (inputs = state_bits +
   // degree_bound*message_bits rows, outputs likewise).
-  GraphPlane(const graph::EdgeIndex& edges, const core::VertexProgram& program,
+  GraphPlane(const graph::Graph& graph, const core::VertexProgram& program,
              const circuit::EvalPlan& update_plan, core::WorkerPool* pool, net::Transport* net,
              Options options);
 
@@ -147,7 +147,7 @@ class GraphPlane {
   void DeliverDirtyGroups();
   void SendAllEdges();
 
-  const graph::EdgeIndex& edges_;
+  const graph::Graph& graph_;
   const circuit::EvalPlan& update_plan_;
   core::WorkerPool* pool_;
   net::Transport* net_;

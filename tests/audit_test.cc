@@ -158,11 +158,12 @@ TEST(AuditVerifyTest, ConcurrentTrafficStaysConsistent) {
 TEST(AuditVerifyTest, FullDStressRunAudits) {
   // End-to-end: attach a recorder to a real engine run and verify that
   // the complete protocol transcript audits clean.
-  graph::Graph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 3);
-  g.AddEdge(3, 0);
+  graph::GraphBuilder builder(4);
+  builder.AddEdge(0, 1);
+  builder.AddEdge(1, 2);
+  builder.AddEdge(2, 3);
+  builder.AddEdge(3, 0);
+  const graph::Graph g = builder.Build();
 
   programs::PrivateSumParams params;
   params.degree_bound = 1;

@@ -73,9 +73,7 @@ edge 2 3
                             &error);
   ASSERT_TRUE(spec.has_value()) << error;
   graph::Graph g = engine::BuildTopologyGraph(spec->topology, spec->seed);
-  EXPECT_EQ(g.num_edges(), 3);
-  EXPECT_TRUE(g.HasEdge(0, 1));
-  EXPECT_FALSE(g.HasEdge(1, 0));
+  EXPECT_EQ(g.Edges(), (std::vector<std::pair<int, int>>{{0, 1}, {1, 2}, {2, 3}}));
 }
 
 TEST(ScenarioParseTest, ErrorsCarryLineNumbers) {
@@ -86,6 +84,8 @@ TEST(ScenarioParseTest, ErrorsCarryLineNumbers) {
   const Case cases[] = {
       {"network core_periphery 10\n", "line 1"},
       {"network core_periphery 10 20\n", "core_size exceeds N"},
+      {"network core_periphery 10 1\n", "line 1: core_size must be at least 2"},
+      {"network scale_free 3 5\n", "line 1: scale_free N must exceed links_per_vertex"},
       {"network scale_free 20 2\nmodel xx\n", "model must be"},
       {"network scale_free 20 2\nmode tls\n", "mode must be 'secure' or 'cleartext'"},
       {"network scale_free 20 2\nmode cleartext fast\n", "expected 1 argument"},
@@ -222,8 +222,7 @@ TEST(ScenarioParseTest, NetworkFromEdgeListFile) {
   ASSERT_TRUE(spec.has_value()) << error;
   EXPECT_EQ(spec->topology.num_vertices, 4);
   graph::Graph g = engine::BuildTopologyGraph(spec->topology, spec->seed);
-  EXPECT_EQ(g.num_edges(), 4);
-  EXPECT_TRUE(g.HasEdge(3, 0));
+  EXPECT_EQ(g.Edges(), (std::vector<std::pair<int, int>>{{0, 1}, {1, 2}, {2, 3}, {3, 0}}));
 
   auto missing = ParseScenario("network file /nonexistent/x.edges\n", &error);
   EXPECT_FALSE(missing.has_value());

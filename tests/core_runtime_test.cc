@@ -45,11 +45,11 @@ VertexProgram MakeSumProgram(int degree_bound, int iterations, double noise_alph
 }
 
 graph::Graph Ring(int n) {
-  graph::Graph g(n);
+  graph::GraphBuilder g(n);
   for (int v = 0; v < n; v++) {
     g.AddEdge(v, (v + 1) % n);
   }
-  return g;
+  return g.Build();
 }
 
 TEST(RuntimeTest, SumProgramComputesExpectedAggregate) {

@@ -25,11 +25,11 @@ namespace dstress::engine {
 namespace {
 
 graph::Graph Ring(int n) {
-  graph::Graph g(n);
+  graph::GraphBuilder g(n);
   for (int v = 0; v < n; v++) {
     g.AddEdge(v, (v + 1) % n);
   }
-  return g;
+  return g.Build();
 }
 
 TopologySpec RingTopology(int n) {

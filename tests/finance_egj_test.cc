@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/finance/workload.h"
-#include "src/graph/edge_index.h"
 #include "src/graph/generators.h"
 
 namespace dstress::finance {
@@ -20,8 +19,9 @@ EgjProgramParams DefaultParams(const graph::Graph& g, int iterations) {
 }
 
 TEST(EgjModelTest, IsolatedBankKeepsBaseValue) {
-  graph::Graph g(2);
-  g.AddEdge(0, 1);  // bank 1 holds a (zero) share of bank 0
+  graph::GraphBuilder builder(2);
+  builder.AddEdge(0, 1);  // bank 1 holds a (zero) share of bank 0
+  const graph::Graph g = builder.Build();
   EgjInstance instance;
   instance.graph = &g;
   instance.base = {100, 80};
@@ -40,8 +40,9 @@ TEST(EgjModelTest, IsolatedBankKeepsBaseValue) {
 TEST(EgjModelTest, CrossHoldingPropagatesValue) {
   // Bank 1 holds 50% of bank 0 (orig val 100): its valuation includes 50.
   FixedPointFormat fmt;
-  graph::Graph g(2);
-  g.AddEdge(0, 1);
+  graph::GraphBuilder builder(2);
+  builder.AddEdge(0, 1);
+  const graph::Graph g = builder.Build();
   EgjInstance instance;
   instance.graph = &g;
   instance.base = {100, 40};
@@ -58,8 +59,9 @@ TEST(EgjModelTest, CrossHoldingPropagatesValue) {
 
 TEST(EgjModelTest, PenaltyAppliesBelowThreshold) {
   FixedPointFormat fmt;
-  graph::Graph g(2);
-  g.AddEdge(0, 1);
+  graph::GraphBuilder builder(2);
+  builder.AddEdge(0, 1);
+  const graph::Graph g = builder.Build();
   EgjInstance instance;
   instance.graph = &g;
   instance.base = {20, 40};  // bank 0 shocked below its threshold
@@ -165,8 +167,9 @@ TEST(EgjModelTest, ValuesDecreaseMonotonicallyOverIterations) {
 
 TEST(EgjCircuitTest, UpdateCircuitMatchesFixedSolverOneStep) {
   FixedPointFormat fmt;
-  graph::Graph g(2);
-  g.AddEdge(0, 1);
+  graph::GraphBuilder builder(2);
+  builder.AddEdge(0, 1);
+  const graph::Graph g = builder.Build();
   EgjInstance instance;
   instance.graph = &g;
   instance.base = {20, 40};
@@ -233,7 +236,7 @@ TEST(EgjWorkloadTest, IssuedSharesAreCapped) {
 // ScanEgjInitialStates / ScanEgjSolveFixed are verbatim copies of
 // MakeEgjInitialStates (per-word WordToBits/AppendBits temporaries) and
 // EgjSolveFixed (mirror-slot scan per discount notice) from before they
-// moved onto flat arrays and graph::EdgeIndex.
+// moved onto flat arrays and the CSR graph's mirror slots.
 
 std::vector<mpc::BitVector> ScanEgjInitialStates(const EgjInstance& instance,
                                                  const EgjProgramParams& params) {
@@ -329,9 +332,9 @@ uint64_t ScanEgjSolveFixed(const EgjInstance& instance, const EgjProgramParams& 
 // A directed graph whose edges are inserted in random order, so in-lists
 // are not sorted by source; every fourth vertex is left isolated.
 graph::Graph RandomDirectedGraph(int n, int edges, Rng& rng) {
-  graph::Graph g(n);
+  graph::GraphBuilder g(n);
   if (n < 2) {
-    return g;
+    return g.Build();
   }
   for (int k = 0; k < edges; k++) {
     int u = static_cast<int>(rng.Below(static_cast<uint64_t>(n)));
@@ -340,7 +343,7 @@ graph::Graph RandomDirectedGraph(int n, int edges, Rng& rng) {
       g.AddEdge(u, v);
     }
   }
-  return g;
+  return g.Build();
 }
 
 TEST(EgjFlatKernelTest, MatchesNeighborScanLoops) {
@@ -348,7 +351,7 @@ TEST(EgjFlatKernelTest, MatchesNeighborScanLoops) {
   for (int c = 0; c < kCases; c++) {
     SCOPED_TRACE("case " + std::to_string(c));
     Rng rng(2000 + c);
-    graph::Graph g(1);
+    graph::Graph g = graph::GraphBuilder(1).Build();
     switch (c % 4) {
       case 0:
         g = RandomDirectedGraph(1 + static_cast<int>(rng.Below(40)), 120, rng);
@@ -406,12 +409,10 @@ TEST(EgjFlatKernelTest, MatchesNeighborScanLoops) {
     }
 
     EXPECT_EQ(MakeEgjInitialStates(instance, params), ScanEgjInitialStates(instance, params));
-    std::vector<uint64_t> scan_values, flat_values, local_values;
+    std::vector<uint64_t> scan_values, flat_values;
     const uint64_t scan_tds = ScanEgjSolveFixed(instance, params, &scan_values);
-    EXPECT_EQ(EgjSolveFixed(instance, params, graph::EdgeIndex(g), &flat_values), scan_tds);
+    EXPECT_EQ(EgjSolveFixed(instance, params, &flat_values), scan_tds);
     EXPECT_EQ(flat_values, scan_values);
-    EXPECT_EQ(EgjSolveFixed(instance, params, &local_values), scan_tds);
-    EXPECT_EQ(local_values, scan_values);
   }
 }
 

@@ -9,8 +9,13 @@ namespace dstress::finance {
 namespace {
 
 // Two banks, bank 0 owes bank 1 more than it can pay.
-EnInstance TwoBankEn(graph::Graph* g) {
-  g->AddEdge(0, 1);
+graph::Graph TwoBanks() {
+  graph::GraphBuilder g(2);
+  g.AddEdge(0, 1);
+  return g.Build();
+}
+
+EnInstance TwoBankEn(const graph::Graph* g) {
   EnInstance instance;
   instance.graph = g;
   instance.cash = {10, 50};
@@ -19,7 +24,7 @@ EnInstance TwoBankEn(graph::Graph* g) {
 }
 
 TEST(EnBreakdownTest, InsolventBankIsFlagged) {
-  graph::Graph g(2);
+  const graph::Graph g = TwoBanks();
   EnInstance instance = TwoBankEn(&g);
   EnProgramParams params;
   params.degree_bound = 1;
@@ -107,9 +112,9 @@ TEST(EgjBreakdownTest, ShockedBanksFailFirst) {
 TEST(BreakdownComparisonTest, FailedCountCoarserThanTds) {
   // §4.1's point: two shocks with very different dollar impact can fail the
   // same number of banks, but the TDS separates them.
-  graph::Graph g1(2);
+  const graph::Graph g1 = TwoBanks();
   EnInstance small = TwoBankEn(&g1);
-  graph::Graph g2(2);
+  const graph::Graph g2 = TwoBanks();
   EnInstance large = TwoBankEn(&g2);
   large.debts = {{3000}, {}};
   large.cash = {10, 50};

@@ -24,9 +24,7 @@ TEST(EdgeListTest, CommentsAndBlanksIgnored) {
   std::string error;
   auto g = ParseEdgeList("# topology\n\ngraph 3\n0 1   # first\n1 2\n", &error);
   ASSERT_TRUE(g.has_value()) << error;
-  EXPECT_EQ(g->num_edges(), 2);
-  EXPECT_TRUE(g->HasEdge(0, 1));
-  EXPECT_TRUE(g->HasEdge(1, 2));
+  EXPECT_EQ(g->Edges(), (std::vector<std::pair<int, int>>{{0, 1}, {1, 2}}));
 }
 
 TEST(EdgeListTest, EmptyGraphAllowed) {
@@ -63,9 +61,10 @@ TEST(EdgeListTest, ErrorsCarryLineNumbers) {
 }
 
 TEST(DotTest, ContainsAllNodesAndEdges) {
-  Graph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(2, 0);
+  GraphBuilder builder(3);
+  builder.AddEdge(0, 1);
+  builder.AddEdge(2, 0);
+  const Graph g = builder.Build();
   std::string dot = WriteDot(g, /*core_size=*/1);
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("n0 [style=filled"), std::string::npos);

@@ -349,15 +349,15 @@ core::VertexProgram PropagateProgram(int bits, int degree_bound) {
 TEST(GraphPlaneFrontierTest, WordsDeactivateAndReactivateOnDelivery) {
   // 130 vertices = 3 lane words; one edge crossing from word 0 to word 1.
   const int n = 130;
-  graph::Graph g(n);
-  g.AddEdge(0, 100);
+  graph::GraphBuilder builder(n);
+  builder.AddEdge(0, 100);
+  const graph::Graph g = builder.Build();
   core::VertexProgram program = PropagateProgram(4, 1);
   circuit::Circuit update = core::BuildUpdateCircuit(program);
   circuit::EvalPlan plan(update);
   core::WorkerPool pool(2);
   net::SimNetwork net(n);
-  graph::EdgeIndex edges(g);
-  graphplane::GraphPlane plane(edges, program, plan, &pool, &net, {});
+  graphplane::GraphPlane plane(g, program, plan, &pool, &net, {});
 
   plane.Reset();
   std::vector<mpc::BitVector> states(n, mpc::BitVector(4, 0));
@@ -423,9 +423,10 @@ TEST(GraphPlaneFrontierTest, EnsembleLanesConvergeIndependently) {
   const int n = 3;
   const int kScenarios = 3;
   const int kStride = 4;
-  graph::Graph g(n);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
+  graph::GraphBuilder builder(n);
+  builder.AddEdge(0, 1);
+  builder.AddEdge(1, 2);
+  const graph::Graph g = builder.Build();
   core::VertexProgram program = PropagateProgram(4, 1);
   circuit::Circuit update = core::BuildUpdateCircuit(program);
   circuit::EvalPlan plan(update);
@@ -434,8 +435,7 @@ TEST(GraphPlaneFrontierTest, EnsembleLanesConvergeIndependently) {
   graphplane::GraphPlane::Options options;
   options.num_scenarios = kScenarios;
   options.stride = kStride;
-  graph::EdgeIndex edges(g);
-  graphplane::GraphPlane plane(edges, program, plan, &pool, &net, options);
+  graphplane::GraphPlane plane(g, program, plan, &pool, &net, options);
 
   plane.Reset();
   for (int v = 0; v < n; v++) {

@@ -23,24 +23,24 @@ dp::NoiseCircuitSpec NoNoise() {
 }
 
 graph::Graph Chain(int n) {
-  graph::Graph g(n);
+  graph::GraphBuilder g(n);
   for (int v = 0; v + 1 < n; v++) {
     g.AddEdge(v, v + 1);
   }
-  return g;
+  return g.Build();
 }
 
 graph::Graph Ring(int n) {
-  graph::Graph g(n);
+  graph::GraphBuilder g(n);
   for (int v = 0; v < n; v++) {
     g.AddEdge(v, (v + 1) % n);
   }
-  return g;
+  return g.Build();
 }
 
 // Symmetric union of two cycles: vertices 0..5 and 6..9.
 graph::Graph TwoCycles() {
-  graph::Graph g(10);
+  graph::GraphBuilder g(10);
   for (int v = 0; v < 6; v++) {
     int u = (v + 1) % 6;
     g.AddEdge(v, u);
@@ -51,7 +51,7 @@ graph::Graph TwoCycles() {
     g.AddEdge(v, u);
     g.AddEdge(u, v);
   }
-  return g;
+  return g.Build();
 }
 
 // --- plaintext reference behaviour -----------------------------------------
@@ -76,7 +76,7 @@ TEST(ReachabilityReferenceTest, DuplicateSourcesCountOnce) {
 }
 
 TEST(InfluenceReferenceTest, IsolatedVertexDecays) {
-  graph::Graph g(1);
+  const graph::Graph g = graph::GraphBuilder(1).Build();
   InfluenceParams params;
   params.degree_bound = 1;
   params.iterations = 3;
@@ -426,11 +426,12 @@ TEST_P(ReferenceSweepTest, ComponentCountsBoundedByRoots) {
   Rng rng(seed ^ 0x5a5a);
   graph::Graph g = graph::GenerateScaleFree(n, 2, rng);
   // Symmetrize so weak components are well-defined for min propagation.
-  graph::Graph sym(n);
+  graph::GraphBuilder builder(n);
   for (auto [u, v] : g.Edges()) {
-    sym.AddEdge(u, v);
-    sym.AddEdge(v, u);
+    builder.AddEdge(u, v);
+    builder.AddEdge(v, u);
   }
+  const graph::Graph sym = builder.Build();
   int truth = WeaklyConnectedComponents(sym);
   EXPECT_GE(PlaintextComponentsCount(sym, 2), truth);
   EXPECT_EQ(PlaintextComponentsCount(sym, n), truth);

@@ -35,18 +35,18 @@ std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
 graph::Graph MakeTopo(Topo topo, int n) {
   switch (topo) {
     case Topo::kRing: {
-      graph::Graph g(n);
+      graph::GraphBuilder g(n);
       for (int v = 0; v < n; v++) {
         g.AddEdge(v, (v + 1) % n);
       }
-      return g;
+      return g.Build();
     }
     case Topo::kStar: {
-      graph::Graph g(n);
+      graph::GraphBuilder g(n);
       for (int v = 1; v < n; v++) {
         g.AddEdge(0, v);  // hub broadcasts; max out-degree n-1
       }
-      return g;
+      return g.Build();
     }
     case Topo::kScaleFree: {
       Rng rng(static_cast<uint64_t>(n) * 31);

@@ -10,11 +10,11 @@ namespace dstress::core {
 namespace {
 
 graph::Graph Ring(int n) {
-  graph::Graph g(n);
+  graph::GraphBuilder g(n);
   for (int v = 0; v < n; v++) {
     g.AddEdge(v, (v + 1) % n);
   }
-  return g;
+  return g.Build();
 }
 
 SetupConfig Config(int n, int block_size, uint64_t seed = 1) {
@@ -74,10 +74,11 @@ TEST(TrustedSetupTest, CertificateKeysAreBlindedPerEdge) {
   // Two in-edges of the same node carry certificates for the same block but
   // blinded with different neighbor keys: no shared points, and none equal
   // to the original public keys.
-  graph::Graph g(4);
-  g.AddEdge(0, 2);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 3);  // keep every vertex connected
+  graph::GraphBuilder builder(4);
+  builder.AddEdge(0, 2);
+  builder.AddEdge(1, 2);
+  builder.AddEdge(2, 3);  // keep every vertex connected
+  const graph::Graph g = builder.Build();
   TrustedSetup setup = RunTrustedSetup(Config(4, 2), g);
 
   const auto& cert_a = setup.edge_certificates.at({0, 2});

@@ -203,11 +203,11 @@ core::VertexProgram MakeSumProgram(int degree_bound, int iterations) {
 }
 
 graph::Graph Ring(int n) {
-  graph::Graph g(n);
+  graph::GraphBuilder g(n);
   for (int v = 0; v < n; v++) {
     g.AddEdge(v, (v + 1) % n);
   }
-  return g;
+  return g.Build();
 }
 
 std::vector<mpc::BitVector> RingStates(int n) {

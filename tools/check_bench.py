@@ -15,8 +15,12 @@ K independent solo runs) must be at or above that floor.
 With --ot-min-speedup the gate additionally pins the batched offline phase
 (docs/offline-phase.md): every `secure-ot` row (wall_ms = node-pair triple
 factory run, wall_ms_baseline = per-role IKNP baseline in the same run) must
-be at or above that floor. The rows' base_ot_count / base_ot_count_baseline
-and offline/overlap walls are printed as informational columns.
+be at or above that floor. bench_fig6 runs each row as interleaved
+per-role/factory pairs and lists every pair's ratio in pair_speedups; a row
+that carries pair_speedups is gated on their median, so one pair read on a
+loaded host does not decide the row. The rows' base_ot_count /
+base_ot_count_baseline and offline/overlap walls are printed as
+informational columns.
 
 With --cleartext-max-wall-ms the gate additionally pins the flat-arena graph
 plane's headline (ROADMAP item 3): every `cleartext` row with N >= 1,000,000
@@ -62,6 +66,12 @@ def row_name(entry, mode) -> str:
     return f"N={entry.get('N')} D={entry.get('D')} mode={entry.get('mode', mode)}"
 
 
+def median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def gate_rows(rows, mode, floor):
     """Returns (failure_lines, skip_lines, worst) for one mode's rows."""
     failures = []
@@ -82,6 +92,14 @@ def gate_rows(rows, mode, floor):
                          "(no baseline measured); row not gated")
             continue
         speedup = baseline / wall
+        if "pair_speedups" in e:
+            pairs = e["pair_speedups"]
+            if (not isinstance(pairs, list) or not pairs
+                    or not all(is_number(p) for p in pairs)):
+                failures.append(
+                    f"FAIL: {row_name(e, mode)}: malformed pair_speedups {pairs!r}")
+                continue
+            speedup = median(pairs)
         if worst is None or speedup < worst[1]:
             worst = (e, speedup)
         if speedup < floor:
