@@ -45,6 +45,9 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "bench/bench_util.h"
 #include "oracle/per_role_ot_supply.h"
 #include "src/common/check.h"
@@ -287,7 +290,7 @@ OtRunResult RunSecureOt(int n, int degree, int block_size, int fanout, bool per_
   shock.shocked_banks = {0};
   finance::EnInstance instance = finance::MakeEnWorkload(g, workload, shock);
   core::VertexProgram program = finance::MakeEnProgram(en);
-  std::vector<mpc::BitVector> states = finance::MakeEnInitialStates(instance, en);
+  mpc::PackedShareMatrix states = finance::MakeEnInitialStates(instance, en);
 
   core::RuntimeConfig config;
   config.block_size = block_size;
@@ -546,6 +549,11 @@ void Run() {
   // tools/check_bench.py --cleartext-max-wall-ms pins the N=1M row's run
   // wall clock and --cleartext-max-e2e-ms its end-to-end time (Engine
   // construction + first Run()).
+  //
+  // Each row runs in a forked child that reports the row over a pipe, so
+  // every row's set-up is timed from a fresh heap: inside this long-lived
+  // process, after the rows before it, the N=1M set-up read ~1 s slower
+  // than in a fresh process.
   std::printf("\n# cleartext fast-path sweep (real runs through engine::Engine)\n");
   std::printf("%8s %6s %10s %12s %10s %18s\n", "N", "I", "setup(s)", "arena(s)", "e2e(s)",
               "traffic/node(kB)");
@@ -566,34 +574,67 @@ void Run() {
     spec.seed = 4;
     spec.mode = engine::ExecutionMode::kCleartextFast;
 
-    Stopwatch e2e;
-    engine::Engine eng(spec);
-    const double setup_ms = e2e.ElapsedMillis();
-    engine::RunReport report = eng.Run();
-    const double e2e_ms = e2e.ElapsedMillis();
-    if (n == 100000) {
-      // Steady-state allocation assertion: the first run warmed every
-      // grow-only buffer (arena, frontier, EvalPacked scratch, sender
-      // staging), so a second run must allocate only small per-run
-      // transients — far below the ~50 MB arena or the circuit-wire
-      // scratch a per-chunk allocation would re-acquire ~1600x per pass.
-      uint64_t bytes_before = g_alloc_bytes.load(std::memory_order_relaxed);
-      uint64_t calls_before = g_alloc_calls.load(std::memory_order_relaxed);
-      report = eng.Run();
-      uint64_t bytes = g_alloc_bytes.load(std::memory_order_relaxed) - bytes_before;
-      uint64_t calls = g_alloc_calls.load(std::memory_order_relaxed) - calls_before;
-      std::printf("# steady-state N=100k run: %.1f MB allocated in %llu calls\n", bytes / 1e6,
-                  static_cast<unsigned long long>(calls));
-      DSTRESS_CHECK(bytes < 64ull << 20);
+    struct SweepRow {
+      int iterations = 0;
+      double setup_ms = 0;
+      double run_ms = 0;
+      double e2e_ms = 0;
+      double bytes_per_node = 0;
+    };
+    int fds[2];
+    DSTRESS_CHECK(pipe(fds) == 0);
+    std::fflush(stdout);
+    const pid_t child = fork();
+    DSTRESS_CHECK(child >= 0);
+    if (child == 0) {
+      close(fds[0]);
+      Stopwatch e2e;
+      engine::Engine eng(spec);
+      const double setup_ms = e2e.ElapsedMillis();
+      engine::RunReport report = eng.Run();
+      const double e2e_ms = e2e.ElapsedMillis();
+      if (n == 100000) {
+        // Steady-state allocation assertion: the first run warmed every
+        // grow-only buffer (arena, frontier, EvalPacked scratch, sender
+        // staging), so a second run must allocate only small per-run
+        // transients — far below the ~50 MB arena or the circuit-wire
+        // scratch a per-chunk allocation would re-acquire ~1600x per pass.
+        uint64_t bytes_before = g_alloc_bytes.load(std::memory_order_relaxed);
+        uint64_t calls_before = g_alloc_calls.load(std::memory_order_relaxed);
+        report = eng.Run();
+        uint64_t bytes = g_alloc_bytes.load(std::memory_order_relaxed) - bytes_before;
+        uint64_t calls = g_alloc_calls.load(std::memory_order_relaxed) - calls_before;
+        std::printf("# steady-state N=100k run: %.1f MB allocated in %llu calls\n", bytes / 1e6,
+                    static_cast<unsigned long long>(calls));
+        DSTRESS_CHECK(bytes < 64ull << 20);
+      }
+      const SweepRow row{report.iterations, setup_ms, report.metrics.total_seconds * 1e3,
+                         e2e_ms, report.metrics.avg_bytes_per_node};
+      std::fflush(stdout);
+      const bool sent = write(fds[1], &row, sizeof(row)) == static_cast<ssize_t>(sizeof(row));
+      _exit(sent ? 0 : 1);
     }
-    std::printf("%8d %6d %10.2f %12.2f %10.2f %18.2f\n", n, report.iterations, setup_ms / 1e3,
-                report.metrics.total_seconds, e2e_ms / 1e3,
-                report.metrics.avg_bytes_per_node / 1e3);
-    JsonEntry row{n, 8, "cleartext", report.metrics.total_seconds * 1e3, -1,
-                  report.metrics.avg_bytes_per_node};
-    row.setup_ms = setup_ms;
-    row.e2e_ms = e2e_ms;
-    json.push_back(row);
+    close(fds[1]);
+    SweepRow row;
+    size_t got = 0;
+    while (got < sizeof(row)) {
+      const ssize_t r = read(fds[0], reinterpret_cast<char*>(&row) + got, sizeof(row) - got);
+      if (r <= 0) {
+        break;
+      }
+      got += static_cast<size_t>(r);
+    }
+    close(fds[0]);
+    int status = 0;
+    DSTRESS_CHECK(waitpid(child, &status, 0) == child);
+    DSTRESS_CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0 && got == sizeof(row));
+
+    std::printf("%8d %6d %10.2f %12.2f %10.2f %18.2f\n", n, row.iterations, row.setup_ms / 1e3,
+                row.run_ms / 1e3, row.e2e_ms / 1e3, row.bytes_per_node / 1e3);
+    JsonEntry entry{n, 8, "cleartext", row.run_ms, -1, row.bytes_per_node};
+    entry.setup_ms = row.setup_ms;
+    entry.e2e_ms = row.e2e_ms;
+    json.push_back(entry);
   }
   std::printf("# the sweep grid that took the paper a cost model now runs for real,\n"
               "# including the N=1M point ROADMAP item 3 asked for\n");

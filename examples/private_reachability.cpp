@@ -59,9 +59,10 @@ int main() {
     return one_if_failed;
   };
 
-  std::vector<mpc::BitVector> states(deps.num_vertices(), mpc::BitVector(8, 0));
+  // One 8-bit state per bank (column v = bank v), bit 0 = initially failed.
+  mpc::PackedShareMatrix states(8, static_cast<size_t>(deps.num_vertices()));
   for (int v : initially_failed) {
-    states[v][0] = 1;
+    states.Set(0, static_cast<size_t>(v), true);
   }
 
   engine::RunSpec spec;

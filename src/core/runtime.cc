@@ -32,25 +32,6 @@ constexpr net::SessionId kBatchSession = 7ULL << 60;
 // Triple-source tags outside the vertex-id space.
 constexpr uint64_t kAggTripleTag = 1ULL << 40;
 
-Bytes PackBits(const mpc::BitVector& bits) {
-  Bytes out((bits.size() + 7) / 8, 0);
-  for (size_t i = 0; i < bits.size(); i++) {
-    if (bits[i] & 1) {
-      out[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
-    }
-  }
-  return out;
-}
-
-mpc::BitVector UnpackBits(const Bytes& raw, size_t bits) {
-  DSTRESS_CHECK(raw.size() == (bits + 7) / 8);
-  mpc::BitVector out(bits);
-  for (size_t i = 0; i < bits; i++) {
-    out[i] = (raw[i / 8] >> (i % 8)) & 1;
-  }
-  return out;
-}
-
 // The (group, member) roles of `groups` blocks of k1 members, group-major:
 // the role order every batched MPC phase schedules in.
 std::vector<std::pair<int, int>> BlockRoles(int groups, int k1) {
@@ -364,11 +345,11 @@ int Runtime::RestoreCheckpoint() {
   return snapshot.next_iteration;
 }
 
-void Runtime::InitPhase(const std::vector<std::vector<mpc::BitVector>>& initial_states) {
+void Runtime::InitPhase(const std::vector<mpc::PackedShareMatrix>& lanes) {
   const int n = graph_.num_vertices();
   const int k1 = config_.block_size;
   const int d = program_.degree_bound;
-  const int num_scenarios = static_cast<int>(initial_states.size());
+  const int num_scenarios = static_cast<int>(lanes.size());
   const size_t total = static_cast<size_t>(num_scenarios) * n;
 
   state_shares_.assign(total, std::vector<mpc::BitVector>(k1));
@@ -384,13 +365,11 @@ void Runtime::InitPhase(const std::vector<std::vector<mpc::BitVector>>& initial_
   // is deadlock-free and still meters every byte.
   for (int s = 0; s < num_scenarios; s++) {
     const uint64_t salt = static_cast<uint64_t>(s) << 40;
-    DSTRESS_CHECK(static_cast<int>(initial_states[s].size()) == n);
     for (int v = 0; v < n; v++) {
-      DSTRESS_CHECK(static_cast<int>(initial_states[s][v].size()) == program_.state_bits);
       auto prg = RolePrg(0x11, static_cast<uint64_t>(s) * n + static_cast<uint64_t>(v));
-      auto shares = mpc::ShareBits(initial_states[s][v], k1, prg);
+      auto shares = mpc::ShareBits(lanes[s].Instance(v), k1, prg);
       for (int m = 0; m < k1; m++) {
-        net_->Send(v, setup_.blocks[v][m], PackBits(shares[m]),
+        net_->Send(v, setup_.blocks[v][m], mpc::PackBits(shares[m]),
                    kInitSession | salt | static_cast<uint64_t>(v));
       }
     }
@@ -402,7 +381,7 @@ void Runtime::InitPhase(const std::vector<std::vector<mpc::BitVector>>& initial_
         Bytes raw =
             net_->Recv(setup_.blocks[v][m], v, kInitSession | salt | static_cast<uint64_t>(v));
         state_shares_[static_cast<size_t>(s) * n + v][m] =
-            UnpackBits(raw, static_cast<size_t>(program_.state_bits));
+            mpc::UnpackBits(raw, static_cast<size_t>(program_.state_bits));
       }
     }
   }
@@ -606,7 +585,7 @@ int64_t Runtime::AggregateSingleLevel() {
   for (int v = 0; v < n; v++) {
     for (int m = 0; m < k1; m++) {
       net_->Send(setup_.blocks[v][m], setup_.aggregation_block[m],
-                 PackBits(state_shares_[v][m]), kAggGatherSession | static_cast<uint64_t>(v));
+                 mpc::PackBits(state_shares_[v][m]), kAggGatherSession | static_cast<uint64_t>(v));
     }
   }
 
@@ -619,7 +598,7 @@ int64_t Runtime::AggregateSingleLevel() {
     for (int v = 0; v < n; v++) {
       Bytes raw = net_->Recv(agg_node, setup_.blocks[v][m],
                              kAggGatherSession | static_cast<uint64_t>(v));
-      mpc::BitVector share = UnpackBits(raw, static_cast<size_t>(program_.state_bits));
+      mpc::BitVector share = mpc::UnpackBits(raw, static_cast<size_t>(program_.state_bits));
       mpc::AppendBits(&input, share);
     }
     // Noise randomness: each member feeds its own uniform bits as its input
@@ -658,7 +637,7 @@ int64_t Runtime::AggregateTree() {
   for (int v = 0; v < n; v++) {
     int g = v / fanout;
     for (int m = 0; m < k1; m++) {
-      net_->Send(setup_.blocks[v][m], blocks[g][m], PackBits(state_shares_[v][m]),
+      net_->Send(setup_.blocks[v][m], blocks[g][m], mpc::PackBits(state_shares_[v][m]),
                  kAggGatherSession | static_cast<uint64_t>(v));
     }
   }
@@ -689,7 +668,7 @@ int64_t Runtime::AggregateTree() {
     for (int v = lo; v < hi; v++) {
       Bytes raw = net_->Recv(agg_node, setup_.blocks[v][m],
                              kAggGatherSession | static_cast<uint64_t>(v));
-      mpc::AppendBits(&input, UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
+      mpc::AppendBits(&input, mpc::UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
     }
     return input;
   };
@@ -727,7 +706,7 @@ int64_t Runtime::AggregateTree() {
     }
     for (int g = 0; g < p; g++) {
       for (int m = 0; m < k1; m++) {
-        net_->Send(blocks[g][m], next_blocks[g / fanout][m], PackBits(shares[g][m]),
+        net_->Send(blocks[g][m], next_blocks[g / fanout][m], mpc::PackBits(shares[g][m]),
                    kAggCombineSession | (level << 32) | static_cast<uint64_t>(g));
       }
     }
@@ -752,7 +731,7 @@ int64_t Runtime::AggregateTree() {
         Bytes raw =
             net_->Recv(agg_node, blocks[child][m],
                        kAggCombineSession | (level << 32) | static_cast<uint64_t>(child));
-        mpc::AppendBits(&input, UnpackBits(raw, static_cast<size_t>(program_.aggregate_bits)));
+        mpc::AppendBits(&input, mpc::UnpackBits(raw, static_cast<size_t>(program_.aggregate_bits)));
       }
       return input;
     };
@@ -784,7 +763,7 @@ int64_t Runtime::AggregateTree() {
   int p = static_cast<int>(shares.size());
   for (int g = 0; g < p; g++) {
     for (int m = 0; m < k1; m++) {
-      net_->Send(blocks[g][m], setup_.aggregation_block[m], PackBits(shares[g][m]),
+      net_->Send(blocks[g][m], setup_.aggregation_block[m], mpc::PackBits(shares[g][m]),
                  kAggCombineSession | (level << 32) | static_cast<uint64_t>(g));
     }
   }
@@ -798,7 +777,7 @@ int64_t Runtime::AggregateTree() {
     for (int g = 0; g < p; g++) {
       Bytes raw = net_->Recv(root_node, blocks[g][m],
                              kAggCombineSession | (level << 32) | static_cast<uint64_t>(g));
-      mpc::AppendBits(&input, UnpackBits(raw, static_cast<size_t>(program_.aggregate_bits)));
+      mpc::AppendBits(&input, mpc::UnpackBits(raw, static_cast<size_t>(program_.aggregate_bits)));
     }
     auto prg = RolePrg(0x66, m_flat);
     size_t noise_bits = dp::NoiseInputBits(program_.output_noise);
@@ -847,7 +826,7 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
     for (int v = 0; v < n; v++) {
       for (int m = 0; m < k1; m++) {
         net_->Send(setup_.blocks[v][m], setup_.aggregation_block[m],
-                   PackBits(state_shares_[static_cast<size_t>(s) * n + v][m]),
+                   mpc::PackBits(state_shares_[static_cast<size_t>(s) * n + v][m]),
                    kAggGatherSession | salt | static_cast<uint64_t>(v));
       }
     }
@@ -865,7 +844,7 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
         for (int v = 0; v < n; v++) {
           Bytes raw = net_->Recv(setup_.aggregation_block[m], setup_.blocks[v][m],
                                  kAggGatherSession | salt | static_cast<uint64_t>(v));
-          mpc::AppendBits(&input, UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
+          mpc::AppendBits(&input, mpc::UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
         }
         // Fresh (kNoiseRoleTag, m) stream per scenario: every lane gets the
         // exact noise its solo run would draw.
@@ -897,7 +876,7 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
           continue;
         }
         net_->Send(setup_.aggregation_block[m], setup_.aggregation_block[m2],
-                   PackBits(out_shares[s][m]),
+                   mpc::PackBits(out_shares[s][m]),
                    kAggCombineSession | salt | static_cast<uint64_t>(m));
       }
     }
@@ -913,7 +892,7 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
         }
         Bytes raw = net_->Recv(setup_.aggregation_block[m], setup_.aggregation_block[m2],
                                kAggCombineSession | salt | static_cast<uint64_t>(m2));
-        mpc::BitVector other = UnpackBits(raw, opened.size());
+        mpc::BitVector other = mpc::UnpackBits(raw, opened.size());
         for (size_t b = 0; b < opened.size(); b++) {
           opened[b] ^= other[b];
         }
@@ -926,16 +905,17 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
   return results;
 }
 
-int64_t Runtime::Run(const std::vector<mpc::BitVector>& initial_states, RunMetrics* metrics) {
+int64_t Runtime::Run(const mpc::PackedShareMatrix& initial_states, RunMetrics* metrics) {
   return RunLanes({initial_states}, metrics)[0];
 }
 
-std::vector<int64_t> Runtime::RunLanes(const std::vector<std::vector<mpc::BitVector>>& lanes,
+std::vector<int64_t> Runtime::RunLanes(const std::vector<mpc::PackedShareMatrix>& lanes,
                                        RunMetrics* metrics) {
   const int num_scenarios = static_cast<int>(lanes.size());
   DSTRESS_CHECK(num_scenarios > 0);
-  for (const std::vector<mpc::BitVector>& states : lanes) {
-    DSTRESS_CHECK(static_cast<int>(states.size()) == graph_.num_vertices());
+  for (const mpc::PackedShareMatrix& states : lanes) {
+    DSTRESS_CHECK(states.rows() == static_cast<size_t>(program_.state_bits));
+    DSTRESS_CHECK(states.instances() == static_cast<size_t>(graph_.num_vertices()));
   }
   // A solo run may checkpoint, resume and aggregate through a tree; S > 1
   // aggregates all lanes through the flat batched aggregation, which has

@@ -63,6 +63,7 @@
 #include "src/core/worker_pool.h"
 #include "src/graph/graph.h"
 #include "src/mpc/gmw.h"
+#include "src/mpc/packed.h"
 #include "src/mpc/triple_factory.h"
 #include "src/net/transport.h"
 #include "src/net/transport_spec.h"
@@ -196,22 +197,23 @@ class Runtime {
           const TripleSupplyMaker& make_supply = nullptr);
   ~Runtime();
 
-  // Executes the program on S lanes of initial states (lanes[s][v] =
-  // scenario s's state_bits-wide state for vertex v, held by that vertex's
-  // node) in one lockstep pass — every batched phase carries all S lanes
-  // as extra instances of the same EvalBatchInstances / per-edge transfer
-  // batches — and opens S noised aggregates. Lane s's figure is identical
-  // to a one-lane run of lanes[s]: per-lane PRG roles (init shares,
-  // transfer masks, aggregation noise) reproduce the solo streams. A solo
-  // run is S = 1, the only width that checkpoints, resumes and may
-  // aggregate through a tree; S > 1 requires aggregation_fanout == 0.
+  // Executes the program on S lanes of initial states (lanes[s] is a
+  // state_bits x n matrix whose column v is scenario s's state for vertex
+  // v, held by that vertex's node) in one lockstep pass — every batched
+  // phase carries all S lanes as extra instances of the same
+  // EvalBatchInstances / per-edge transfer batches — and opens S noised
+  // aggregates. Lane s's figure is identical to a one-lane run of
+  // lanes[s]: per-lane PRG roles (init shares, transfer masks, aggregation
+  // noise) reproduce the solo streams. A solo run is S = 1, the only width
+  // that checkpoints, resumes and may aggregate through a tree; S > 1
+  // requires aggregation_fanout == 0.
   // Reusable: each call is an independent run (state is re-initialized),
   // but OT/triple sessions persist.
-  std::vector<int64_t> RunLanes(const std::vector<std::vector<mpc::BitVector>>& lanes,
+  std::vector<int64_t> RunLanes(const std::vector<mpc::PackedShareMatrix>& lanes,
                                 RunMetrics* metrics);
 
   // The solo run: RunLanes over one lane, returning its figure.
-  int64_t Run(const std::vector<mpc::BitVector>& initial_states, RunMetrics* metrics);
+  int64_t Run(const mpc::PackedShareMatrix& initial_states, RunMetrics* metrics);
 
   const net::Transport& network() const { return *net_; }
   // Attaches a NetworkObserver (e.g. an audit::TranscriptRecorder; nullptr
@@ -227,7 +229,7 @@ class Runtime {
   // sized S*n and role (s, v) lives at flat index s*n + v, so the
   // Assemble/Scatter helpers work unchanged on flat indices. A solo run is
   // the S == 1 case.
-  void InitPhase(const std::vector<std::vector<mpc::BitVector>>& initial_states);
+  void InitPhase(const std::vector<mpc::PackedShareMatrix>& lanes);
   // Computation step: every (lane, member) role of the S = num_scenarios
   // lanes advances through the update circuit in one lockstep batched
   // evaluation (docs/packed-eval.md).

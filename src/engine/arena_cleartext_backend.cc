@@ -33,41 +33,6 @@ constexpr net::SessionId kGatherSession = 2ULL << 60;
 constexpr net::SessionId kCombineSession = 3ULL << 60;
 constexpr net::NodeId kAggregatorNode = 0;
 
-Bytes PackBits(const mpc::BitVector& bits) {
-  Bytes out((bits.size() + 7) / 8, 0);
-  for (size_t i = 0; i < bits.size(); i++) {
-    if (bits[i] & 1) {
-      out[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
-    }
-  }
-  return out;
-}
-
-mpc::BitVector UnpackBits(const Bytes& raw, size_t bits) {
-  DSTRESS_CHECK(raw.size() == (bits + 7) / 8);
-  mpc::BitVector out(bits);
-  for (size_t i = 0; i < bits; i++) {
-    out[i] = (raw[i / 8] >> (i % 8)) & 1;
-  }
-  return out;
-}
-
-uint64_t BitsToWord(const std::vector<uint8_t>& bits) {
-  uint64_t value = 0;
-  for (size_t i = 0; i < bits.size(); i++) {
-    value |= static_cast<uint64_t>(bits[i] & 1) << i;
-  }
-  return value;
-}
-
-mpc::BitVector WordToBits(uint64_t value, int bits) {
-  mpc::BitVector out(static_cast<size_t>(bits));
-  for (int i = 0; i < bits; i++) {
-    out[i] = (value >> i) & 1;
-  }
-  return out;
-}
-
 class ArenaCleartextBackend : public ExecutionBackend {
  public:
   explicit ArenaCleartextBackend(const BackendContext& context)
@@ -101,17 +66,23 @@ class ArenaCleartextBackend : public ExecutionBackend {
 
   const char* name() const override { return ExecutionModeName(ExecutionMode::kCleartextFast); }
 
-  std::vector<int64_t> Execute(const std::vector<std::vector<mpc::BitVector>>& lanes,
+  std::vector<int64_t> Execute(const std::vector<mpc::PackedShareMatrix>& lanes,
                                core::RunMetrics* metrics) override;
 
-  std::vector<mpc::BitVector> DebugFinalStates() const override {
+  // The solo plane's state rows are the lane layout itself (stride 1, lane
+  // v = vertex v): copied word for word, garbage lanes past N masked off.
+  mpc::PackedShareMatrix DebugFinalStates() const override {
     if (!solo_ran_) {
       return {};
     }
-    std::vector<mpc::BitVector> states;
-    states.reserve(static_cast<size_t>(graph_.num_vertices()));
-    for (int v = 0; v < graph_.num_vertices(); v++) {
-      states.push_back(solo_plane_->VertexState(v, 0));
+    const mpc::PackedShareMatrix& in_mat = solo_plane_->input_matrix();
+    const std::vector<uint64_t>& valid = solo_plane_->valid_masks();
+    mpc::PackedShareMatrix states(static_cast<size_t>(program_.state_bits),
+                                  static_cast<size_t>(graph_.num_vertices()));
+    for (size_t r = 0; r < states.rows(); r++) {
+      for (size_t w = 0; w < states.words_per_row(); w++) {
+        states.row(r)[w] = in_mat.row(r)[w] & valid[w];
+      }
     }
     return states;
   }
@@ -149,7 +120,7 @@ class ArenaCleartextBackend : public ExecutionBackend {
     for (auto& bit : noise_input) {
       bit = prg.NextBit() ? 1 : 0;
     }
-    return BitsToWord(noise_circuit_->Eval(noise_input));
+    return mpc::BitsToWord(noise_circuit_->Eval(noise_input), 0, program_.aggregate_bits);
   }
 
   // Flat gather for a plane of S scenario lanes (the solo S=1 case
@@ -255,7 +226,7 @@ class ArenaCleartextBackend : public ExecutionBackend {
     const size_t agg_bits = static_cast<size_t>(program_.aggregate_bits);
 
     for (int v = 0; v < n; v++) {
-      net_->Send(v, (v / fanout) * fanout, PackBits(solo_plane_->VertexState(v, 0)),
+      net_->Send(v, (v / fanout) * fanout, mpc::PackBits(solo_plane_->VertexState(v, 0)),
                  kGatherSession | static_cast<uint64_t>(v));
     }
     std::vector<uint64_t> partials(static_cast<size_t>(num_groups), 0);
@@ -267,8 +238,9 @@ class ArenaCleartextBackend : public ExecutionBackend {
       uint64_t sum = 0;
       for (int v = lo; v < hi; v++) {
         Bytes raw = net_->Recv(lo, v, kGatherSession | static_cast<uint64_t>(v));
-        mpc::BitVector state = UnpackBits(raw, static_cast<size_t>(program_.state_bits));
-        sum += BitsToWord(contribution_circuit_.Eval(state));
+        const mpc::BitVector contribution = contribution_circuit_.Eval(
+            mpc::UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
+        sum += mpc::BitsToWord(contribution, 0, program_.aggregate_bits);
       }
       partials[gg] = sum;
       owners[gg] = lo;
@@ -281,7 +253,8 @@ class ArenaCleartextBackend : public ExecutionBackend {
       for (int g = 0; g < p; g++) {
         net_->Send(owners[static_cast<size_t>(g)],
                    owners[static_cast<size_t>((g / fanout) * fanout)],
-                   PackBits(WordToBits(partials[static_cast<size_t>(g)], program_.aggregate_bits)),
+                   mpc::PackBits(mpc::WordToBits(partials[static_cast<size_t>(g)],
+                                                 program_.aggregate_bits)),
                    kCombineSession | (level << 32) | static_cast<uint64_t>(g));
       }
       std::vector<uint64_t> next_partials(static_cast<size_t>(next_groups), 0);
@@ -295,7 +268,7 @@ class ArenaCleartextBackend : public ExecutionBackend {
           Bytes raw = net_->Recv(owners[static_cast<size_t>(lo)],
                                  owners[static_cast<size_t>(child)],
                                  kCombineSession | (level << 32) | static_cast<uint64_t>(child));
-          sum += BitsToWord(UnpackBits(raw, agg_bits));
+          sum += mpc::BitsToWord(mpc::UnpackBits(raw, agg_bits), 0, program_.aggregate_bits);
         }
         next_partials[gg] = sum;
         next_owners[gg] = owners[static_cast<size_t>(lo)];
@@ -308,14 +281,15 @@ class ArenaCleartextBackend : public ExecutionBackend {
     int p = static_cast<int>(partials.size());
     for (int g = 0; g < p; g++) {
       net_->Send(owners[static_cast<size_t>(g)], kAggregatorNode,
-                 PackBits(WordToBits(partials[static_cast<size_t>(g)], program_.aggregate_bits)),
+                 mpc::PackBits(mpc::WordToBits(partials[static_cast<size_t>(g)],
+                                                 program_.aggregate_bits)),
                  kCombineSession | (level << 32) | static_cast<uint64_t>(g));
     }
     uint64_t sum = 0;
     for (int g = 0; g < p; g++) {
       Bytes raw = net_->Recv(kAggregatorNode, owners[static_cast<size_t>(g)],
                              kCombineSession | (level << 32) | static_cast<uint64_t>(g));
-      sum += BitsToWord(UnpackBits(raw, agg_bits));
+      sum += mpc::BitsToWord(mpc::UnpackBits(raw, agg_bits), 0, program_.aggregate_bits);
     }
     return sum;
   }
@@ -338,61 +312,15 @@ class ArenaCleartextBackend : public ExecutionBackend {
   bool solo_ran_ = false;
 };
 
-// Packs lanes [lo, lo + S) into a stride-P input matrix (scenario s of
-// vertex v at lane v*P + s).
-void PackLaneChunk(const std::vector<std::vector<mpc::BitVector>>& lanes, int lo,
-                   int num_scenarios, int stride, int state_bits,
-                   mpc::PackedShareMatrix* in_mat) {
-  const int n = static_cast<int>(lanes[static_cast<size_t>(lo)].size());
-  if (state_bits <= 64) {
-    // Per vertex: word-pack each scenario's state, transpose the S x sb
-    // block, and the rows come out as ready-made lane groups.
-    uint64_t block[64];
-    for (int v = 0; v < n; v++) {
-      for (int s = 0; s < 64; s++) {
-        uint64_t word = 0;
-        if (s < num_scenarios) {
-          const mpc::BitVector& state = lanes[static_cast<size_t>(lo + s)][static_cast<size_t>(v)];
-          for (int r = 0; r < state_bits; r++) {
-            word |= static_cast<uint64_t>(state[static_cast<size_t>(r)] & 1) << r;
-          }
-        }
-        block[s] = word;
-      }
-      mpc::TransposeBits64x64(block);
-      for (int r = 0; r < state_bits; r++) {
-        in_mat->SetLaneGroup(static_cast<size_t>(r), static_cast<size_t>(v) * stride,
-                             num_scenarios, block[r]);
-      }
-    }
-    return;
-  }
-  for (int v = 0; v < n; v++) {
-    for (int r = 0; r < state_bits; r++) {
-      uint64_t bits = 0;
-      for (int s = 0; s < num_scenarios; s++) {
-        if (lanes[static_cast<size_t>(lo + s)][static_cast<size_t>(v)][static_cast<size_t>(r)] &
-            1) {
-          bits |= 1ULL << s;
-        }
-      }
-      in_mat->SetLaneGroup(static_cast<size_t>(r), static_cast<size_t>(v) * stride,
-                           num_scenarios, bits);
-    }
-  }
-}
-
 std::vector<int64_t> ArenaCleartextBackend::Execute(
-    const std::vector<std::vector<mpc::BitVector>>& lanes, core::RunMetrics* metrics) {
+    const std::vector<mpc::PackedShareMatrix>& lanes, core::RunMetrics* metrics) {
   const int total_scenarios = static_cast<int>(lanes.size());
   DSTRESS_CHECK(total_scenarios > 0);
   DSTRESS_CHECK(total_scenarios == 1 || config_.aggregation_fanout == 0);
   const int n = graph_.num_vertices();
-  for (const std::vector<mpc::BitVector>& states : lanes) {
-    DSTRESS_CHECK(static_cast<int>(states.size()) == n);
-    for (const mpc::BitVector& state : states) {
-      DSTRESS_CHECK(static_cast<int>(state.size()) == program_.state_bits);
-    }
+  for (const mpc::PackedShareMatrix& states : lanes) {
+    DSTRESS_CHECK(states.rows() == static_cast<size_t>(program_.state_bits));
+    DSTRESS_CHECK(states.instances() == static_cast<size_t>(n));
   }
 
   core::RunMetrics local;
@@ -420,9 +348,11 @@ std::vector<int64_t> ArenaCleartextBackend::Execute(
     graphplane::GraphPlane* plane = solo_plane_.get();
     run_phase(&m->init, [&] {
       if (num_scenarios == 1) {
+        // Stride 1: the lane's rows are the plane's first state_bits rows.
         solo_plane_->Reset();
-        graphplane::PackSoloStates(lanes[static_cast<size_t>(chunk_lo)],
-                                   &solo_plane_->input_matrix());
+        const mpc::PackedShareMatrix& lane = lanes[static_cast<size_t>(chunk_lo)];
+        std::copy(lane.data(), lane.data() + lane.rows() * lane.words_per_row(),
+                  solo_plane_->input_matrix().data());
         return;
       }
       int stride = 1;
@@ -436,8 +366,7 @@ std::vector<int64_t> ArenaCleartextBackend::Execute(
       chunk_plane = std::make_unique<graphplane::GraphPlane>(
           graph_, program_, update_plan_, pool_.get(), net_.get(), options);
       plane = chunk_plane.get();
-      PackLaneChunk(lanes, chunk_lo, num_scenarios, stride, program_.state_bits,
-                    &plane->input_matrix());
+      graphplane::PackLaneChunk(lanes, chunk_lo, num_scenarios, stride, &plane->input_matrix());
     });
 
     for (int iter = 0; iter < program_.iterations; iter++) {

@@ -2,7 +2,7 @@
 // machinery that actually runs a stress test.
 //
 // The engine compiles a RunSpec down to (graph, vertex program, runtime
-// config, initial states) and hands the first three to the backend that
+// config, lanes of initial states) and hands the first three to the backend that
 // MakeExecutionBackend picks for the spec's ExecutionMode, a plain switch
 // over the two built-in backends:
 //
@@ -46,20 +46,24 @@ class ExecutionBackend {
 
   virtual const char* name() const = 0;
 
-  // Runs the program once per lane (lanes[s][v] = scenario s's state for
-  // vertex v) and returns one released aggregate per lane. The lanes share
-  // one lockstep pass of the batched data planes; lane s's figure equals a
-  // one-lane Execute of lanes[s], and a one-lane Execute is the solo run.
-  // Reusable: each call is an independent run. `metrics` may be nullptr.
-  virtual std::vector<int64_t> Execute(const std::vector<std::vector<mpc::BitVector>>& lanes,
+  // Runs the program once per lane and returns one released aggregate per
+  // lane. A lane is one scenario's initial states, packed once by the
+  // engine's state packers: a state_bits x N mpc::PackedShareMatrix whose
+  // column v is vertex v's state (bit i in row i). The secure backend
+  // shares each column; the cleartext backend copies or transposes the rows
+  // straight into its arena. The lanes share one lockstep pass of the
+  // batched data planes; lane s's figure equals a one-lane Execute of
+  // lanes[s], and a one-lane Execute is the solo run. Reusable: each call
+  // is an independent run. `metrics` may be nullptr.
+  virtual std::vector<int64_t> Execute(const std::vector<mpc::PackedShareMatrix>& lanes,
                                        core::RunMetrics* metrics) = 0;
 
-  // Final per-vertex states of the last one-lane Execute, for fidelity
-  // testing (tests/graphplane_test.cc digests them against states
-  // recorded from the retired container plane). Optional: backends without a
-  // cleartext state image return empty, and the result is unspecified
-  // before the first Execute or after a wider one.
-  virtual std::vector<mpc::BitVector> DebugFinalStates() const { return {}; }
+  // Final states of the last one-lane Execute, in the lane layout above,
+  // for fidelity testing (tests/graphplane_test.cc digests them against
+  // states recorded from the retired container plane). Optional: backends
+  // without a cleartext state image return an empty matrix, and the result
+  // is unspecified before the first Execute or after a wider one.
+  virtual mpc::PackedShareMatrix DebugFinalStates() const { return {}; }
 
   // Attaches a transport observer (audit layer); must happen before the
   // first Execute, see net::Transport::SetObserver.

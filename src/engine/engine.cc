@@ -64,7 +64,7 @@ struct EnModel {
   static void Shock(Instance& instance, const finance::ShockParams& shock) {
     finance::ApplyEnShock(instance, shock);
   }
-  static std::vector<mpc::BitVector> States(const Instance& instance, const Params& params) {
+  static mpc::PackedShareMatrix States(const Instance& instance, const Params& params) {
     return finance::MakeEnInitialStates(instance, params);
   }
   // The reference TDS; with `defaults`, also which banks end with a
@@ -95,7 +95,7 @@ struct EgjModel {
   static void Shock(Instance& instance, const finance::ShockParams& shock) {
     finance::ApplyEgjShock(instance, shock);
   }
-  static std::vector<mpc::BitVector> States(const Instance& instance, const Params& params) {
+  static mpc::PackedShareMatrix States(const Instance& instance, const Params& params) {
     return finance::MakeEgjInitialStates(instance, params);
   }
   // The reference TDS; with `defaults`, also which banks end below their
@@ -149,7 +149,8 @@ Engine::Engine(RunSpec spec) : spec_(std::move(spec)) {
         program_.iterations = spec_.iterations;
       }
       iterations_ = program_.iterations;
-      DSTRESS_CHECK(static_cast<int>(spec_.custom_states.size()) == n);
+      DSTRESS_CHECK(spec_.custom_states.rows() == static_cast<size_t>(program_.state_bits));
+      DSTRESS_CHECK(spec_.custom_states.instances() == static_cast<size_t>(n));
       base_lane_ = {spec_.custom_states};
       break;
     }
@@ -182,7 +183,7 @@ void Engine::CompileModel(int degree_bound) {
   // shock, so stamping it onto a copy equals regenerating.
   auto compile = [&](const finance::ShockParams& shock, std::optional<uint64_t> workload_seed,
                      const typename Model::Instance* unshocked,
-                     std::vector<mpc::BitVector>* lane, std::vector<uint8_t>* defaults) {
+                     mpc::PackedShareMatrix* lane, std::vector<uint8_t>* defaults) {
     typename Model::Instance instance;
     if (unshocked != nullptr && !workload_seed.has_value()) {
       instance = *unshocked;
@@ -270,7 +271,7 @@ void Engine::AttachObserver(net::NetworkObserver* observer) {
   backend_->AttachObserver(observer);
 }
 
-std::vector<mpc::BitVector> Engine::FinalStates() const { return backend_->DebugFinalStates(); }
+mpc::PackedShareMatrix Engine::FinalStates() const { return backend_->DebugFinalStates(); }
 
 const net::Transport& Engine::transport() const { return backend_->transport(); }
 

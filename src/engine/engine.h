@@ -11,7 +11,7 @@
 // spec or prebuilt graph), the contagion model is lowered to a vertex
 // program with privacy-calibrated output noise, every scenario (the base
 // one, plus each ensemble scenario) is compiled into a lane of initial
-// states with its cleartext reference, and MakeExecutionBackend picks the
+// states (one packed state_bits x N matrix) with its cleartext reference, and MakeExecutionBackend picks the
 // backend for the spec's ExecutionMode (secure MPC or the cleartext fast
 // path). Run() executes the base lane and RunEnsemble() the ensemble lanes,
 // both through the backend's one Execute; a solo run is the one-lane case.
@@ -63,11 +63,12 @@ class Engine {
   // detaches). Must be called before the first Run().
   void AttachObserver(net::NetworkObserver* observer);
 
-  // Final per-vertex states of the last Run(), when the backend exposes
-  // them (ExecutionBackend::DebugFinalStates; the cleartext backend does).
-  // Empty otherwise. Differential-testing hook, not part of the release
-  // surface.
-  std::vector<mpc::BitVector> FinalStates() const;
+  // Final states of the last Run() as a state_bits x N lane (column v =
+  // vertex v), when the backend exposes them
+  // (ExecutionBackend::DebugFinalStates; the cleartext backend does). An
+  // empty matrix otherwise. Differential-testing hook, not part of the
+  // release surface.
+  mpc::PackedShareMatrix FinalStates() const;
 
   // The materialized network and compiled program.
   const graph::Graph& graph() const { return *graph_; }
@@ -86,8 +87,10 @@ class Engine {
   std::optional<graph::Graph> built_graph_;
   const graph::Graph* graph_ = nullptr;
   core::VertexProgram program_;
-  // The base scenario (spec shock and workload) as a one-lane Execute input.
-  std::vector<std::vector<mpc::BitVector>> base_lane_;
+  // The base scenario (spec shock and workload) as a one-lane Execute
+  // input. Every lane (here and in ensemble_lanes_) is packed once by a
+  // state packer and handed to the backend as is.
+  std::vector<mpc::PackedShareMatrix> base_lane_;
   bool has_reference_ = false;
   uint64_t reference_ = 0;
   std::string model_name_;
@@ -101,7 +104,7 @@ class Engine {
   template <typename Model>
   void CompileModel(int degree_bound);
   std::vector<ensemble::Scenario> scenarios_;
-  std::vector<std::vector<mpc::BitVector>> ensemble_lanes_;
+  std::vector<mpc::PackedShareMatrix> ensemble_lanes_;
   std::vector<uint64_t> ensemble_refs_;
   std::vector<std::vector<uint8_t>> ensemble_defaults_;
 };

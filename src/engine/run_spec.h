@@ -36,7 +36,7 @@
 #include "src/finance/workload.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
-#include "src/mpc/sharing.h"
+#include "src/mpc/packed.h"
 #include "src/net/transport_spec.h"
 
 namespace dstress::engine {
@@ -137,10 +137,11 @@ struct RunSpec {
   std::optional<ensemble::EnsembleSpec> ensemble;
 
   // Custom vertex program (model == kCustom): the program is used as given
-  // (its own iterations/noise), custom_states holds one initial state per
-  // vertex.
+  // (its own iterations/noise). custom_states is its one lane of initial
+  // states in the layout every backend consumes: state_bits rows x N
+  // columns, column v = vertex v's state (programs::Make*States build it).
   core::VertexProgram custom_program;
-  std::vector<mpc::BitVector> custom_states;
+  mpc::PackedShareMatrix custom_states;
 
   // Public degree bound D; 0 = the materialized graph's max degree.
   int degree_bound = 0;

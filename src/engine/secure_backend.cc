@@ -11,7 +11,7 @@ class SecureBackend : public ExecutionBackend {
 
   const char* name() const override { return ExecutionModeName(ExecutionMode::kSecure); }
 
-  std::vector<int64_t> Execute(const std::vector<std::vector<mpc::BitVector>>& lanes,
+  std::vector<int64_t> Execute(const std::vector<mpc::PackedShareMatrix>& lanes,
                                core::RunMetrics* metrics) override {
     return runtime_.RunLanes(lanes, metrics);
   }

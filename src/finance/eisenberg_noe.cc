@@ -134,32 +134,30 @@ core::VertexProgram MakeEnProgram(const EnProgramParams& params) {
   return program;
 }
 
-std::vector<mpc::BitVector> MakeEnInitialStates(const EnInstance& instance,
-                                                const EnProgramParams& params) {
+mpc::PackedShareMatrix MakeEnInitialStates(const EnInstance& instance,
+                                           const EnProgramParams& params) {
   const graph::Graph& g = *instance.graph;
   const int n = g.num_vertices();
   const int w = params.format.value_bits;
   const int d_bound = params.degree_bound;
   const std::vector<uint64_t> credit = CreditsByInSlot(instance, params.format);
-  auto put = [w](mpc::BitVector* state, int word, uint64_t value) {
-    mpc::PutWordBits(state, static_cast<size_t>(word) * w, value, w);
-  };
   // Words past a vertex's degree stay zero: the padded slots.
-  std::vector<mpc::BitVector> states(n);
+  mpc::PackedShareMatrix states(static_cast<size_t>(StateBits(params)), static_cast<size_t>(n));
   for (int v = 0; v < n; v++) {
-    mpc::BitVector& state = states[v];
-    state.assign(StateBits(params), 0);
-    put(&state, 0, params.format.SaturateValue(instance.cash[v]));
-    put(&state, 1, params.format.SaturateValue(instance.TotalDebtOf(v)));
-    put(&state, 2, params.format.One());  // prorate = 1.0
+    auto put = [&](int word, uint64_t value) {
+      states.SetColumnWord(static_cast<size_t>(v), static_cast<size_t>(word) * w, w, value);
+    };
+    put(0, params.format.SaturateValue(instance.cash[v]));
+    put(1, params.format.SaturateValue(instance.TotalDebtOf(v)));
+    put(2, params.format.One());  // prorate = 1.0
     const int out_slots = std::min(g.OutDegree(v), d_bound);
     for (int d = 0; d < out_slots; d++) {
-      put(&state, 3 + d, params.format.SaturateValue(instance.debts[v][d]));
+      put(3 + d, params.format.SaturateValue(instance.debts[v][d]));
     }
     // In-slot credits: what the in-neighbor owes me.
     const int in_slots = std::min(g.InDegree(v), d_bound);
     for (int d = 0; d < in_slots; d++) {
-      put(&state, 3 + d_bound + d, credit[g.in_start(v) + static_cast<size_t>(d)]);
+      put(3 + d_bound + d, credit[g.in_start(v) + static_cast<size_t>(d)]);
     }
   }
   return states;

@@ -22,7 +22,7 @@
 #include "src/core/vertex_program.h"
 #include "src/finance/fixed_point.h"
 #include "src/graph/graph.h"
-#include "src/mpc/sharing.h"
+#include "src/mpc/packed.h"
 
 namespace dstress::finance {
 
@@ -49,10 +49,11 @@ struct EnProgramParams {
 // Builds the vertex program implementing Figure 2a.
 core::VertexProgram MakeEnProgram(const EnProgramParams& params);
 
-// Packs the per-vertex initial states in the layout the program's circuits
-// expect.
-std::vector<mpc::BitVector> MakeEnInitialStates(const EnInstance& instance,
-                                                const EnProgramParams& params);
+// Packs the initial states in the layout the program's circuits expect:
+// one state_bits x n lane, column v = vertex v's state (its words at
+// rows [k*w, (k+1)*w), padded slots zero).
+mpc::PackedShareMatrix MakeEnInitialStates(const EnInstance& instance,
+                                           const EnProgramParams& params);
 
 // Host-side integer simulation with exactly the circuit's fixed-point
 // arithmetic (same division, clamps and widths). Returns the exact

@@ -120,30 +120,29 @@ core::VertexProgram MakeEgjProgram(const EgjProgramParams& params) {
   return program;
 }
 
-std::vector<mpc::BitVector> MakeEgjInitialStates(const EgjInstance& instance,
-                                                 const EgjProgramParams& params) {
+mpc::PackedShareMatrix MakeEgjInitialStates(const EgjInstance& instance,
+                                            const EgjProgramParams& params) {
   const graph::Graph& g = *instance.graph;
   const int w = params.format.value_bits;
   const int d_bound = params.degree_bound;
-  auto put = [&](mpc::BitVector* state, int word, uint64_t value) {
-    mpc::PutWordBits(state, static_cast<size_t>(word) * w, params.format.SaturateValue(value),
-                     w);
-  };
   // Words past a vertex's in-degree stay zero: the padded slots.
-  std::vector<mpc::BitVector> states(g.num_vertices());
+  mpc::PackedShareMatrix states(static_cast<size_t>(StateBits(params)),
+                                static_cast<size_t>(g.num_vertices()));
   for (int v = 0; v < g.num_vertices(); v++) {
-    mpc::BitVector& state = states[v];
-    state.assign(StateBits(params), 0);
-    put(&state, 0, instance.base[v]);
-    put(&state, 1, instance.orig_val[v]);
-    put(&state, 2, instance.orig_val[v]);  // value starts at the initial valuation
-    put(&state, 3, instance.threshold[v]);
-    put(&state, 4, instance.penalty[v]);
+    auto put = [&](int word, uint64_t value) {
+      states.SetColumnWord(static_cast<size_t>(v), static_cast<size_t>(word) * w, w,
+                           params.format.SaturateValue(value));
+    };
+    put(0, instance.base[v]);
+    put(1, instance.orig_val[v]);
+    put(2, instance.orig_val[v]);  // value starts at the initial valuation
+    put(3, instance.threshold[v]);
+    put(4, instance.penalty[v]);
     const graph::VertexRange in = g.InNeighbors(v);
     const int in_slots = std::min(static_cast<int>(in.size()), d_bound);
     for (int d = 0; d < in_slots; d++) {
-      put(&state, 5 + d, instance.insh[v][d]);
-      put(&state, 5 + d_bound + d, instance.orig_val[in[d]]);
+      put(5 + d, instance.insh[v][d]);
+      put(5 + d_bound + d, instance.orig_val[in[d]]);
     }
   }
   return states;

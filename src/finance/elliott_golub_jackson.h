@@ -20,7 +20,7 @@
 #include "src/core/vertex_program.h"
 #include "src/finance/fixed_point.h"
 #include "src/graph/graph.h"
-#include "src/mpc/sharing.h"
+#include "src/mpc/packed.h"
 
 namespace dstress::finance {
 
@@ -46,8 +46,10 @@ struct EgjProgramParams {
 
 core::VertexProgram MakeEgjProgram(const EgjProgramParams& params);
 
-std::vector<mpc::BitVector> MakeEgjInitialStates(const EgjInstance& instance,
-                                                 const EgjProgramParams& params);
+// The initial states as one state_bits x n lane (column v = vertex v's
+// state, padded slots zero).
+mpc::PackedShareMatrix MakeEgjInitialStates(const EgjInstance& instance,
+                                            const EgjProgramParams& params);
 
 // Host integer mirror of the circuit arithmetic; returns the unnoised TDS.
 // Runs on flat per-in-slot arrays over instance.graph's CSR.

@@ -41,22 +41,27 @@ uint64_t ExtractBits(const Bytes& raw, size_t bit_offset, int count) {
   return bits;
 }
 
-void PackSoloStates(const std::vector<mpc::BitVector>& states, mpc::PackedShareMatrix* in_mat) {
-  const int n = static_cast<int>(states.size());
-  DSTRESS_CHECK(n > 0);
-  DSTRESS_CHECK(in_mat->instances() == static_cast<size_t>(n));
-  const size_t sb = states[0].size();
-  DSTRESS_CHECK(in_mat->rows() >= sb);
-  for (int lo = 0; lo < n; lo += 64) {
-    const int hi = std::min(n, lo + 64);
-    const size_t w = static_cast<size_t>(lo) / 64;
-    for (size_t r = 0; r < sb; r++) {
-      uint64_t word = 0;
-      for (int v = lo; v < hi; v++) {
-        word |= static_cast<uint64_t>(states[static_cast<size_t>(v)][r] & 1)
-                << (v - lo);
+void PackLaneChunk(const std::vector<mpc::PackedShareMatrix>& lanes, int lo, int num_scenarios,
+                   int stride, mpc::PackedShareMatrix* in_mat) {
+  DSTRESS_CHECK(num_scenarios >= 1 && num_scenarios <= stride && stride <= 64);
+  DSTRESS_CHECK(lo >= 0 && static_cast<size_t>(lo + num_scenarios) <= lanes.size());
+  const mpc::PackedShareMatrix& first = lanes[static_cast<size_t>(lo)];
+  const size_t n = first.instances();
+  DSTRESS_CHECK(in_mat->rows() >= first.rows() && in_mat->instances() >= n * stride);
+  // Per (row, 64-vertex word): the S lanes' words form an S x 64 bit block
+  // whose transpose holds, in word j, vertex (64*word + j)'s S-lane group.
+  uint64_t block[64];
+  for (size_t r = 0; r < first.rows(); r++) {
+    for (size_t w = 0; w < first.words_per_row(); w++) {
+      for (int s = 0; s < 64; s++) {
+        block[s] = s < num_scenarios ? lanes[static_cast<size_t>(lo + s)].row(r)[w] : 0;
       }
-      in_mat->row(r)[w] = word;
+      mpc::TransposeBits64x64(block);
+      const size_t v0 = w * 64;
+      const size_t count = std::min<size_t>(64, n - v0);
+      for (size_t j = 0; j < count; j++) {
+        in_mat->SetLaneGroup(r, (v0 + j) * stride, num_scenarios, block[j]);
+      }
     }
   }
 }

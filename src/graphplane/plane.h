@@ -57,10 +57,12 @@ namespace dstress::graphplane {
 void InsertBits(Bytes* out, size_t bit_offset, uint64_t bits, int count);
 uint64_t ExtractBits(const Bytes& raw, size_t bit_offset, int count);
 
-// Packs one solo state vector per vertex into the first state_bits rows of
-// a stride-1 input matrix (lane v = vertex v). `in_mat` must already have
-// >= states[0].size() rows and exactly states.size() instances.
-void PackSoloStates(const std::vector<mpc::BitVector>& states, mpc::PackedShareMatrix* in_mat);
+// Packs lanes [lo, lo + S) — each a state_bits x n lane, column v = vertex
+// v's state — into the first state_bits rows of a stride-P input matrix
+// (scenario s of vertex v at lane v*P + s). 1 <= S <= P <= 64. A solo
+// (S = P = 1) lane needs no packing: its rows are the input rows.
+void PackLaneChunk(const std::vector<mpc::PackedShareMatrix>& lanes, int lo, int num_scenarios,
+                   int stride, mpc::PackedShareMatrix* in_mat);
 
 class GraphPlane {
  public:
@@ -93,9 +95,9 @@ class GraphPlane {
              const circuit::EvalPlan& update_plan, core::WorkerPool* pool, net::Transport* net,
              Options options);
 
-  // The update-circuit input arena. Callers pack initial states into rows
-  // [0, state_bits) (PackSoloStates or SetLaneGroup) after Reset(); in-slot
-  // rows start at ⊥ (all-zero).
+  // The update-circuit input arena. Callers write initial states into rows
+  // [0, state_bits) after Reset() — a solo lane's rows copied as is, wider
+  // chunks through PackLaneChunk; in-slot rows start at ⊥ (all-zero).
   mpc::PackedShareMatrix& input_matrix() { return in_mat_; }
   const mpc::PackedShareMatrix& input_matrix() const { return in_mat_; }
 

@@ -34,6 +34,16 @@ void PackedShareMatrix::SetInstance(size_t j, const BitVector& bits) {
   }
 }
 
+void PackedShareMatrix::SetColumnWord(size_t j, size_t first_row, int width, uint64_t value) {
+  DSTRESS_CHECK(j < instances_ && width >= 1 && width <= 64 && first_row + width <= rows_);
+  const int shift = static_cast<int>(j % 64);
+  const uint64_t keep = ~(1ULL << shift);
+  uint64_t* w = data_.data() + first_row * wpr_ + j / 64;
+  for (int i = 0; i < width; i++, w += wpr_) {
+    *w = (*w & keep) | (((value >> i) & 1) << shift);
+  }
+}
+
 uint64_t PackedShareMatrix::GetLaneGroup(size_t r, size_t first, int count) const {
   DSTRESS_CHECK(count >= 1 && count <= 64 && first + count <= instances_);
   const uint64_t* w = row(r);

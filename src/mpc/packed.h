@@ -62,6 +62,12 @@ class PackedShareMatrix {
   BitVector Instance(size_t j) const;
   void SetInstance(size_t j, const BitVector& bits);
 
+  // Column-word writer: overwrites rows [first_row, first_row + width) of
+  // column j with the low `width` bits of `value` (bit i lands in row
+  // first_row + i), 1 <= width <= 64. This is how the state packers lay a
+  // vertex's fixed-width words into its column of a lane.
+  void SetColumnWord(size_t j, size_t first_row, int width, uint64_t value);
+
   // Lane-group accessors for the scenario-ensemble planes (src/ensemble):
   // a vertex's W scenario lanes form one contiguous `count`-bit group
   // (count <= 64) that may straddle a word boundary. GetLaneGroup reads the

@@ -43,13 +43,6 @@ BitVector WordToBits(uint64_t value, int bits) {
   return out;
 }
 
-void PutWordBits(BitVector* bits, size_t offset, uint64_t value, int count) {
-  DSTRESS_CHECK(offset + count <= bits->size());
-  for (int i = 0; i < count; i++) {
-    (*bits)[offset + i] = (value >> i) & 1;
-  }
-}
-
 uint64_t BitsToWord(const BitVector& bits, size_t offset, int count) {
   DSTRESS_CHECK(offset + count <= bits.size());
   uint64_t v = 0;
@@ -69,6 +62,25 @@ int64_t BitsToSignedWord(const BitVector& bits, size_t offset, int count) {
 
 void AppendBits(BitVector* dst, const BitVector& src) {
   dst->insert(dst->end(), src.begin(), src.end());
+}
+
+Bytes PackBits(const BitVector& bits) {
+  Bytes out((bits.size() + 7) / 8, 0);
+  for (size_t i = 0; i < bits.size(); i++) {
+    if (bits[i] & 1) {
+      out[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+    }
+  }
+  return out;
+}
+
+BitVector UnpackBits(const Bytes& raw, size_t bits) {
+  DSTRESS_CHECK(raw.size() == (bits + 7) / 8);
+  BitVector out(bits);
+  for (size_t i = 0; i < bits; i++) {
+    out[i] = (raw[i / 8] >> (i % 8)) & 1;
+  }
+  return out;
 }
 
 }  // namespace dstress::mpc

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/crypto/chacha20.h"
 
 namespace dstress::mpc {
@@ -27,15 +28,19 @@ BitVector ReconstructBits(const std::vector<BitVector>& shares);
 // Little-endian bit (de)composition of integer words, the canonical layout
 // for circuit inputs/outputs.
 BitVector WordToBits(uint64_t value, int bits);
-// In-place WordToBits: writes the low `count` bits of `value` over
-// bits[offset, offset + count).
-void PutWordBits(BitVector* bits, size_t offset, uint64_t value, int count);
 uint64_t BitsToWord(const BitVector& bits, size_t offset, int count);
 // Sign-extended read (two's complement).
 int64_t BitsToSignedWord(const BitVector& bits, size_t offset, int count);
 
 // Concatenation helper for assembling circuit input vectors.
 void AppendBits(BitVector* dst, const BitVector& src);
+
+// Wire form of a BitVector: LSB-first bit packing, (bits + 7) / 8 bytes.
+// Every share, state and partial-sum payload the runtime and the
+// cleartext backend put on the wire uses it.
+Bytes PackBits(const BitVector& bits);
+// Inverse of PackBits; `raw` must be exactly (bits + 7) / 8 bytes.
+BitVector UnpackBits(const Bytes& raw, size_t bits);
 
 }  // namespace dstress::mpc
 

@@ -49,19 +49,15 @@ core::VertexProgram BuildComponentsProgram(const ComponentsParams& params) {
   return program;
 }
 
-std::vector<mpc::BitVector> MakeComponentsStates(int num_vertices, int label_bits) {
+mpc::PackedShareMatrix MakeComponentsStates(int num_vertices, int label_bits) {
   DSTRESS_CHECK(static_cast<int64_t>(num_vertices) + 1 <= (int64_t{1} << label_bits));
-  std::vector<mpc::BitVector> states;
-  states.reserve(num_vertices);
+  mpc::PackedShareMatrix states(2 * static_cast<size_t>(label_bits),
+                                static_cast<size_t>(num_vertices));
   for (int v = 0; v < num_vertices; v++) {
-    mpc::BitVector bits(2 * label_bits, 0);
-    uint32_t label = static_cast<uint32_t>(v) + 1;
-    for (int i = 0; i < label_bits; i++) {
-      uint8_t bit = static_cast<uint8_t>((label >> i) & 1);
-      bits[i] = bit;               // id half
-      bits[label_bits + i] = bit;  // label half
-    }
-    states.push_back(std::move(bits));
+    const uint64_t label = static_cast<uint64_t>(v) + 1;
+    const size_t column = static_cast<size_t>(v);
+    states.SetColumnWord(column, 0, label_bits, label);                                // id half
+    states.SetColumnWord(column, static_cast<size_t>(label_bits), label_bits, label);  // label half
   }
   return states;
 }

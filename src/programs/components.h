@@ -19,7 +19,7 @@
 
 #include "src/core/vertex_program.h"
 #include "src/graph/graph.h"
-#include "src/mpc/sharing.h"
+#include "src/mpc/packed.h"
 
 namespace dstress::programs {
 
@@ -37,7 +37,7 @@ struct ComponentsParams {
 // State layout: [id+1 (label_bits)] [current label (label_bits)].
 core::VertexProgram BuildComponentsProgram(const ComponentsParams& params);
 
-std::vector<mpc::BitVector> MakeComponentsStates(int num_vertices, int label_bits);
+mpc::PackedShareMatrix MakeComponentsStates(int num_vertices, int label_bits);
 
 // Cleartext reference: min-label propagation for `iterations` rounds over
 // in-neighbors, returning the number of vertices keeping their own label.

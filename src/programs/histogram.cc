@@ -40,13 +40,12 @@ core::VertexProgram BuildHistogramProgram(const HistogramParams& params) {
   return program;
 }
 
-std::vector<mpc::BitVector> MakeHistogramStates(const std::vector<int>& buckets,
-                                                const HistogramParams& params) {
-  std::vector<mpc::BitVector> states;
-  states.reserve(buckets.size());
-  for (int bucket : buckets) {
-    DSTRESS_CHECK(bucket >= 0 && bucket < params.num_buckets);
-    states.push_back(mpc::WordToBits(static_cast<uint64_t>(bucket), params.counter_bits));
+mpc::PackedShareMatrix MakeHistogramStates(const std::vector<int>& buckets,
+                                           const HistogramParams& params) {
+  mpc::PackedShareMatrix states(static_cast<size_t>(params.counter_bits), buckets.size());
+  for (size_t v = 0; v < buckets.size(); v++) {
+    DSTRESS_CHECK(buckets[v] >= 0 && buckets[v] < params.num_buckets);
+    states.SetColumnWord(v, 0, params.counter_bits, static_cast<uint64_t>(buckets[v]));
   }
   return states;
 }

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "src/core/vertex_program.h"
-#include "src/mpc/sharing.h"
+#include "src/mpc/packed.h"
 
 namespace dstress::programs {
 
@@ -40,8 +40,8 @@ struct HistogramParams {
 core::VertexProgram BuildHistogramProgram(const HistogramParams& params);
 
 // Encodes per-vertex bucket indices (each must be < num_buckets).
-std::vector<mpc::BitVector> MakeHistogramStates(const std::vector<int>& buckets,
-                                                const HistogramParams& params);
+mpc::PackedShareMatrix MakeHistogramStates(const std::vector<int>& buckets,
+                                           const HistogramParams& params);
 
 // Splits a released packed word into per-bucket counts. Noise on the packed
 // integer can push individual fields below zero / above the field range;

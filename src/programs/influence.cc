@@ -44,15 +44,10 @@ core::VertexProgram BuildInfluenceProgram(const InfluenceParams& params) {
   return program;
 }
 
-std::vector<mpc::BitVector> MakeInfluenceStates(const std::vector<uint16_t>& masses) {
-  std::vector<mpc::BitVector> states;
-  states.reserve(masses.size());
-  for (uint16_t mass : masses) {
-    mpc::BitVector bits(kInfluenceStateBits, 0);
-    for (int i = 0; i < kInfluenceStateBits; i++) {
-      bits[i] = static_cast<uint8_t>((mass >> i) & 1);
-    }
-    states.push_back(std::move(bits));
+mpc::PackedShareMatrix MakeInfluenceStates(const std::vector<uint16_t>& masses) {
+  mpc::PackedShareMatrix states(kInfluenceStateBits, masses.size());
+  for (size_t v = 0; v < masses.size(); v++) {
+    states.SetColumnWord(v, 0, kInfluenceStateBits, masses[v]);
   }
   return states;
 }

@@ -21,7 +21,7 @@
 
 #include "src/core/vertex_program.h"
 #include "src/graph/graph.h"
-#include "src/mpc/sharing.h"
+#include "src/mpc/packed.h"
 
 namespace dstress::programs {
 
@@ -41,7 +41,7 @@ inline constexpr int kInfluenceStateBits = 16;
 core::VertexProgram BuildInfluenceProgram(const InfluenceParams& params);
 
 // Encodes per-vertex initial masses as 16-bit states.
-std::vector<mpc::BitVector> MakeInfluenceStates(const std::vector<uint16_t>& masses);
+mpc::PackedShareMatrix MakeInfluenceStates(const std::vector<uint16_t>& masses);
 
 // Cleartext reference with identical wrapping semantics. Returns the final
 // per-vertex masses; the released aggregate is their sum mod 2^aggregate_bits.

@@ -1,5 +1,7 @@
 #include "src/programs/private_sum.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 
 namespace dstress::programs {
@@ -31,17 +33,12 @@ core::VertexProgram BuildPrivateSumProgram(const PrivateSumParams& params) {
   return program;
 }
 
-std::vector<mpc::BitVector> MakePrivateSumStates(const std::vector<uint32_t>& values,
-                                                 int value_bits) {
-  std::vector<mpc::BitVector> states;
-  states.reserve(values.size());
-  for (uint32_t value : values) {
-    DSTRESS_CHECK(value_bits >= 32 || value < (uint32_t{1} << value_bits));
-    mpc::BitVector bits(value_bits, 0);
-    for (int i = 0; i < value_bits && i < 32; i++) {
-      bits[i] = static_cast<uint8_t>((value >> i) & 1);
-    }
-    states.push_back(std::move(bits));
+mpc::PackedShareMatrix MakePrivateSumStates(const std::vector<uint32_t>& values,
+                                            int value_bits) {
+  mpc::PackedShareMatrix states(static_cast<size_t>(value_bits), values.size());
+  for (size_t v = 0; v < values.size(); v++) {
+    DSTRESS_CHECK(value_bits >= 32 || values[v] < (uint32_t{1} << value_bits));
+    states.SetColumnWord(v, 0, std::min(value_bits, 32), values[v]);
   }
   return states;
 }

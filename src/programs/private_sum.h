@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/core/vertex_program.h"
-#include "src/mpc/sharing.h"
+#include "src/mpc/packed.h"
 
 namespace dstress::programs {
 
@@ -29,8 +29,8 @@ struct PrivateSumParams {
 core::VertexProgram BuildPrivateSumProgram(const PrivateSumParams& params);
 
 // Encodes per-vertex contributions as value_bits-wide states.
-std::vector<mpc::BitVector> MakePrivateSumStates(const std::vector<uint32_t>& values,
-                                                 int value_bits);
+mpc::PackedShareMatrix MakePrivateSumStates(const std::vector<uint32_t>& values,
+                                            int value_bits);
 
 // The exact (un-noised) released value: sum of contributions mod
 // 2^aggregate_bits, interpreted as the runtime does.

@@ -45,12 +45,12 @@ core::VertexProgram BuildReachabilityProgram(const ReachabilityParams& params) {
   return program;
 }
 
-std::vector<mpc::BitVector> MakeReachabilityStates(int num_vertices,
-                                                   const std::vector<int>& sources) {
-  std::vector<mpc::BitVector> states(num_vertices, mpc::BitVector(kStateBits, 0));
+mpc::PackedShareMatrix MakeReachabilityStates(int num_vertices,
+                                              const std::vector<int>& sources) {
+  mpc::PackedShareMatrix states(kStateBits, static_cast<size_t>(num_vertices));
   for (int v : sources) {
     DSTRESS_CHECK(v >= 0 && v < num_vertices);
-    states[v][0] = 1;
+    states.Set(0, static_cast<size_t>(v), true);
   }
   return states;
 }

@@ -20,7 +20,7 @@
 
 #include "src/core/vertex_program.h"
 #include "src/graph/graph.h"
-#include "src/mpc/sharing.h"
+#include "src/mpc/packed.h"
 
 namespace dstress::programs {
 
@@ -39,8 +39,8 @@ core::VertexProgram BuildReachabilityProgram(const ReachabilityParams& params);
 
 // Encodes the initial states: one 8-bit word per vertex, bit 0 set for
 // members of `sources`.
-std::vector<mpc::BitVector> MakeReachabilityStates(int num_vertices,
-                                                   const std::vector<int>& sources);
+mpc::PackedShareMatrix MakeReachabilityStates(int num_vertices,
+                                              const std::vector<int>& sources);
 
 // Cleartext reference: number of vertices reachable from `sources` within
 // `hops` edges (sources included).

@@ -44,6 +44,15 @@ VertexProgram MakeSumProgram(int degree_bound, int iterations, double noise_alph
   return program;
 }
 
+// One 16-bit state word per vertex, as a state lane (column v = vertex v).
+mpc::PackedShareMatrix WordStates(const std::vector<uint64_t>& words) {
+  mpc::PackedShareMatrix states(16, words.size());
+  for (size_t v = 0; v < words.size(); v++) {
+    states.SetColumnWord(v, 0, 16, words[v]);
+  }
+  return states;
+}
+
 graph::Graph Ring(int n) {
   graph::GraphBuilder g(n);
   for (int v = 0; v < n; v++) {
@@ -63,12 +72,12 @@ TEST(RuntimeTest, SumProgramComputesExpectedAggregate) {
   config.seed = 5;
   Runtime runtime(config, g, program);
 
-  std::vector<mpc::BitVector> states;
+  std::vector<uint64_t> seeds;
   int64_t expected = 0;
   for (int v = 0; v < kN; v++) {
-    uint64_t seed_value = 10 + v;
-    states.push_back(mpc::WordToBits(seed_value, 16));  // accumulator starts 0
+    seeds.push_back(10 + v);  // accumulator starts 0
   }
+  mpc::PackedShareMatrix states = WordStates(seeds);
   // After iteration 1's communicate + compute, each accumulator holds the
   // predecessor's seed; after iteration 2 it holds it twice... Actually the
   // final compute is the (iterations+1)-th: messages received `iterations`
@@ -89,10 +98,11 @@ TEST(RuntimeTest, SumProgramComputesExpectedAggregate) {
 TEST(RuntimeTest, DeterministicForFixedSeed) {
   graph::Graph g = Ring(5);
   VertexProgram program = MakeSumProgram(1, 1, 1e-12);
-  std::vector<mpc::BitVector> states;
+  std::vector<uint64_t> words;
   for (int v = 0; v < 5; v++) {
-    states.push_back(mpc::WordToBits(3 + v, 16));
+    words.push_back(3 + v);
   }
+  mpc::PackedShareMatrix states = WordStates(words);
   RuntimeConfig config;
   config.block_size = 3;
   config.seed = 9;
@@ -106,12 +116,8 @@ TEST(RuntimeTest, OutputNoiseIsApplied) {
   // across seeds the outputs should vary around the true sum.
   graph::Graph g = Ring(4);
   VertexProgram program = MakeSumProgram(1, 1, /*noise_alpha=*/0.9);
-  std::vector<mpc::BitVector> states;
-  int64_t true_sum = 0;
-  for (int v = 0; v < 4; v++) {
-    states.push_back(mpc::WordToBits(5, 16));
-    true_sum += 5;
-  }
+  mpc::PackedShareMatrix states = WordStates({5, 5, 5, 5});
+  const int64_t true_sum = 20;
   int differing = 0;
   for (uint64_t seed = 1; seed <= 8; seed++) {
     RuntimeConfig config;
@@ -131,10 +137,11 @@ TEST(RuntimeTest, TreeAggregationMatchesSingleLevel) {
   constexpr int kN = 9;
   graph::Graph g = Ring(kN);
   VertexProgram program = MakeSumProgram(1, 1, 1e-12);
-  std::vector<mpc::BitVector> states;
+  std::vector<uint64_t> words;
   for (int v = 0; v < kN; v++) {
-    states.push_back(mpc::WordToBits(7 + v, 16));
+    words.push_back(7 + v);
   }
+  mpc::PackedShareMatrix states = WordStates(words);
   RuntimeConfig flat;
   flat.block_size = 3;
   flat.seed = 4;
@@ -151,10 +158,11 @@ TEST(RuntimeTest, DeepAggregationTreeMatchesSingleLevel) {
   constexpr int kN = 11;
   graph::Graph g = Ring(kN);
   VertexProgram program = MakeSumProgram(1, 1, 1e-12);
-  std::vector<mpc::BitVector> states;
+  std::vector<uint64_t> words;
   for (int v = 0; v < kN; v++) {
-    states.push_back(mpc::WordToBits(3 + 2 * v, 16));
+    words.push_back(3 + 2 * v);
   }
+  mpc::PackedShareMatrix states = WordStates(words);
   RuntimeConfig flat;
   flat.block_size = 3;
   flat.seed = 6;
@@ -169,10 +177,11 @@ TEST(RuntimeTest, OtTriplesMatchDealerTriples) {
   constexpr int kN = 4;
   graph::Graph g = Ring(kN);
   VertexProgram program = MakeSumProgram(1, 1, 1e-12);
-  std::vector<mpc::BitVector> states;
+  std::vector<uint64_t> words;
   for (int v = 0; v < kN; v++) {
-    states.push_back(mpc::WordToBits(2 + v, 16));
+    words.push_back(2 + v);
   }
+  mpc::PackedShareMatrix states = WordStates(words);
   RuntimeConfig dealer;
   dealer.block_size = 3;
   dealer.seed = 2;
@@ -245,7 +254,7 @@ TEST(RuntimeTest, EgjEndToEndMatchesReference) {
 TEST(RuntimeTest, MetricsBreakdownIsConsistent) {
   graph::Graph g = Ring(5);
   VertexProgram program = MakeSumProgram(1, 2, 1e-12);
-  std::vector<mpc::BitVector> states(5, mpc::WordToBits(1, 16));
+  mpc::PackedShareMatrix states = WordStates({1, 1, 1, 1, 1});
   RuntimeConfig config;
   config.block_size = 3;
   Runtime runtime(config, g, program);

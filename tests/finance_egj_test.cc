@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <string>
 
+#include "src/common/check.h"
 #include "src/finance/workload.h"
 #include "src/graph/generators.h"
+#include "tests/lane_util.h"
 
 namespace dstress::finance {
 namespace {
@@ -184,7 +186,7 @@ TEST(EgjCircuitTest, UpdateCircuitMatchesFixedSolverOneStep) {
 
   const int w = params.format.value_bits;
   // Bank 0's first update with ⊥ (=0 discount) messages.
-  mpc::BitVector input = states[0];
+  mpc::BitVector input = states.Instance(0);
   for (int d = 0; d < params.degree_bound; d++) {
     mpc::AppendBits(&input, mpc::WordToBits(0, program.message_bits));
   }
@@ -408,11 +410,100 @@ TEST(EgjFlatKernelTest, MatchesNeighborScanLoops) {
       }
     }
 
-    EXPECT_EQ(MakeEgjInitialStates(instance, params), ScanEgjInitialStates(instance, params));
+    lanes::ExpectLaneEq(MakeEgjInitialStates(instance, params),
+                        ScanEgjInitialStates(instance, params));
     std::vector<uint64_t> scan_values, flat_values;
     const uint64_t scan_tds = ScanEgjSolveFixed(instance, params, &scan_values);
     EXPECT_EQ(EgjSolveFixed(instance, params, &flat_values), scan_tds);
     EXPECT_EQ(flat_values, scan_values);
+  }
+}
+
+// --- The packed packer vs its retired one-byte-per-bit form ---------------
+//
+// RetiredEgjInitialStates is a verbatim copy of MakeEgjInitialStates from
+// when it built one BitVector per vertex (with the PutWordBits helper it
+// used), before it wrote the packed lane directly.
+
+void PutWordBits(mpc::BitVector* bits, size_t offset, uint64_t value, int count) {
+  DSTRESS_CHECK(offset + count <= bits->size());
+  for (int i = 0; i < count; i++) {
+    (*bits)[offset + i] = (value >> i) & 1;
+  }
+}
+
+std::vector<mpc::BitVector> RetiredEgjInitialStates(const EgjInstance& instance,
+                                                    const EgjProgramParams& params) {
+  const graph::Graph& g = *instance.graph;
+  const int w = params.format.value_bits;
+  const int d_bound = params.degree_bound;
+  auto put = [&](mpc::BitVector* state, int word, uint64_t value) {
+    PutWordBits(state, static_cast<size_t>(word) * w, params.format.SaturateValue(value), w);
+  };
+  // Words past a vertex's in-degree stay zero: the padded slots.
+  std::vector<mpc::BitVector> states(g.num_vertices());
+  for (int v = 0; v < g.num_vertices(); v++) {
+    mpc::BitVector& state = states[v];
+    state.assign((5 + 2 * d_bound) * w, 0);
+    put(&state, 0, instance.base[v]);
+    put(&state, 1, instance.orig_val[v]);
+    put(&state, 2, instance.orig_val[v]);  // value starts at the initial valuation
+    put(&state, 3, instance.threshold[v]);
+    put(&state, 4, instance.penalty[v]);
+    const graph::VertexRange in = g.InNeighbors(v);
+    const int in_slots = std::min(static_cast<int>(in.size()), d_bound);
+    for (int d = 0; d < in_slots; d++) {
+      put(&state, 5 + d, instance.insh[v][d]);
+      put(&state, 5 + d_bound + d, instance.orig_val[in[d]]);
+    }
+  }
+  return states;
+}
+
+// Seeded cases over N in {1, 2, 63, 64, 65, 130, 200}: isolated vertices
+// (every fourth), degree bounds below, at and above the max degree (so
+// in-degrees exceed the bound), seeded workloads and raw saturating draws.
+TEST(EgjPackerTest, MatchesRetiredBitVectorPacker) {
+  int c = 0;
+  for (int n : {1, 2, 63, 64, 65, 130, 200}) {
+    Rng rng(600 + static_cast<uint64_t>(n));
+    const graph::Graph g = RandomDirectedGraph(n, 8 * n, rng);
+    const int max_degree = std::max(1, g.MaxDegree());
+    for (int bound : {1, std::max(1, max_degree / 2), max_degree, max_degree + 2}) {
+      SCOPED_TRACE("N=" + std::to_string(n) + " bound=" + std::to_string(bound));
+      EgjProgramParams params;
+      params.format.value_bits = 10 + (c % 7);
+      params.format.frac_bits = 4;
+      params.degree_bound = bound;
+      EgjInstance instance;
+      if (c++ % 2 == 0 && n >= 2) {
+        WorkloadParams wp;
+        wp.format = params.format;
+        wp.seed = 41 + static_cast<uint64_t>(c);
+        ShockParams shock;
+        shock.shocked_banks = {0};
+        instance = MakeEgjWorkload(g, wp, shock);
+      } else {
+        const uint64_t cap = 4 * params.format.MaxValue();
+        instance.graph = &g;
+        instance.base.resize(n);
+        instance.orig_val.resize(n);
+        instance.threshold.resize(n);
+        instance.penalty.resize(n);
+        instance.insh.resize(n);
+        for (int v = 0; v < n; v++) {
+          instance.base[v] = rng.Below(cap);
+          instance.orig_val[v] = rng.Below(cap);
+          instance.threshold[v] = rng.Below(cap);
+          instance.penalty[v] = rng.Below(cap / 2);
+          for (int d = 0; d < g.InDegree(v); d++) {
+            instance.insh[v].push_back(rng.Below(params.format.One() + 1));
+          }
+        }
+      }
+      lanes::ExpectLaneEq(MakeEgjInitialStates(instance, params),
+                          RetiredEgjInitialStates(instance, params));
+    }
   }
 }
 

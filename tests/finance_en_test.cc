@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <string>
 
+#include "src/common/check.h"
 #include "src/finance/workload.h"
 #include "src/graph/generators.h"
+#include "tests/lane_util.h"
 
 namespace dstress::finance {
 namespace {
@@ -185,7 +187,7 @@ TEST(EnCircuitTest, UpdateCircuitMatchesFixedSolverOneStep) {
   // Evaluate bank 1's first update with no incoming messages: its prorate
   // should become floor((10 << F) / 60) and shortfall messages
   // debts*(1-p)>>F.
-  BitVector input = states[1];
+  BitVector input = states.Instance(1);
   for (int d = 0; d < params.degree_bound; d++) {
     AppendBits(&input, mpc::WordToBits(0, program.message_bits));
   }
@@ -247,7 +249,7 @@ TEST(EnWorkloadTest, CreditsMirrorDebts) {
         }
       }
       uint64_t credit =
-          BitsToWord(states[j], static_cast<size_t>(3 + params.degree_bound + d) * w, w);
+          BitsToWord(states.Instance(j), static_cast<size_t>(3 + params.degree_bound + d) * w, w);
       EXPECT_EQ(credit, debt) << "edge " << i << "->" << j;
     }
   }
@@ -445,11 +447,111 @@ TEST(EnFlatKernelTest, MatchesNeighborScanLoops) {
       }
     }
 
-    EXPECT_EQ(MakeEnInitialStates(instance, params), ScanEnInitialStates(instance, params));
+    lanes::ExpectLaneEq(MakeEnInitialStates(instance, params),
+                        ScanEnInitialStates(instance, params));
     std::vector<uint64_t> scan_prorate, flat_prorate;
     const uint64_t scan_tds = ScanEnSolveFixed(instance, params, &scan_prorate);
     EXPECT_EQ(EnSolveFixed(instance, params, &flat_prorate), scan_tds);
     EXPECT_EQ(flat_prorate, scan_prorate);
+  }
+}
+
+// --- The packed packer vs its retired one-byte-per-bit form ---------------
+//
+// RetiredEnInitialStates is a verbatim copy of MakeEnInitialStates from when
+// it built one BitVector per vertex (with the PutWordBits and
+// CreditsByInSlot helpers it used), before it wrote the packed lane
+// directly.
+
+void PutWordBits(BitVector* bits, size_t offset, uint64_t value, int count) {
+  DSTRESS_CHECK(offset + count <= bits->size());
+  for (int i = 0; i < count; i++) {
+    (*bits)[offset + i] = (value >> i) & 1;
+  }
+}
+
+std::vector<uint64_t> CreditsByInSlot(const EnInstance& instance, const FixedPointFormat& format) {
+  const graph::Graph& g = *instance.graph;
+  std::vector<uint64_t> credit(static_cast<size_t>(g.num_edges()));
+  for (int u = 0; u < g.num_vertices(); u++) {
+    const size_t first = g.out_start(u);
+    for (size_t e = first; e < g.out_start(u + 1); e++) {
+      credit[g.in_flat(e)] = format.SaturateValue(instance.debts[u][e - first]);
+    }
+  }
+  return credit;
+}
+
+std::vector<BitVector> RetiredEnInitialStates(const EnInstance& instance,
+                                              const EnProgramParams& params) {
+  const graph::Graph& g = *instance.graph;
+  const int n = g.num_vertices();
+  const int w = params.format.value_bits;
+  const int d_bound = params.degree_bound;
+  const std::vector<uint64_t> credit = CreditsByInSlot(instance, params.format);
+  auto put = [w](BitVector* state, int word, uint64_t value) {
+    PutWordBits(state, static_cast<size_t>(word) * w, value, w);
+  };
+  // Words past a vertex's degree stay zero: the padded slots.
+  std::vector<BitVector> states(n);
+  for (int v = 0; v < n; v++) {
+    BitVector& state = states[v];
+    state.assign((3 + 2 * d_bound) * w, 0);
+    put(&state, 0, params.format.SaturateValue(instance.cash[v]));
+    put(&state, 1, params.format.SaturateValue(instance.TotalDebtOf(v)));
+    put(&state, 2, params.format.One());  // prorate = 1.0
+    const int out_slots = std::min(g.OutDegree(v), d_bound);
+    for (int d = 0; d < out_slots; d++) {
+      put(&state, 3 + d, params.format.SaturateValue(instance.debts[v][d]));
+    }
+    // In-slot credits: what the in-neighbor owes me.
+    const int in_slots = std::min(g.InDegree(v), d_bound);
+    for (int d = 0; d < in_slots; d++) {
+      put(&state, 3 + d_bound + d, credit[g.in_start(v) + static_cast<size_t>(d)]);
+    }
+  }
+  return states;
+}
+
+// Seeded cases over N in {1, 2, 63, 64, 65, 130, 200}: isolated vertices
+// (every fourth), degree bounds below, at and above the max degree (so out-
+// and in-degrees exceed the bound), seeded workloads and raw saturating
+// draws.
+TEST(EnPackerTest, MatchesRetiredBitVectorPacker) {
+  int c = 0;
+  for (int n : {1, 2, 63, 64, 65, 130, 200}) {
+    Rng rng(500 + static_cast<uint64_t>(n));
+    const graph::Graph g = RandomDirectedGraph(n, 8 * n, rng);
+    const int max_degree = std::max(1, g.MaxDegree());
+    for (int bound : {1, std::max(1, max_degree / 2), max_degree, max_degree + 2}) {
+      SCOPED_TRACE("N=" + std::to_string(n) + " bound=" + std::to_string(bound));
+      EnProgramParams params;
+      params.format.value_bits = 10 + (c % 7);
+      params.format.frac_bits = 4;
+      params.degree_bound = bound;
+      EnInstance instance;
+      if (c++ % 2 == 0 && n >= 2) {
+        WorkloadParams wp;
+        wp.format = params.format;
+        wp.seed = 31 + static_cast<uint64_t>(c);
+        ShockParams shock;
+        shock.shocked_banks = {0};
+        instance = MakeEnWorkload(g, wp, shock);
+      } else {
+        const uint64_t cap = 4 * params.format.MaxValue();
+        instance.graph = &g;
+        instance.cash.resize(n);
+        instance.debts.resize(n);
+        for (int v = 0; v < n; v++) {
+          instance.cash[v] = rng.Below(cap);
+          for (int s = 0; s < g.OutDegree(v); s++) {
+            instance.debts[v].push_back(rng.Below(cap / 8 + 1));
+          }
+        }
+      }
+      lanes::ExpectLaneEq(MakeEnInitialStates(instance, params),
+                          RetiredEnInitialStates(instance, params));
+    }
   }
 }
 

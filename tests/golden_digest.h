@@ -71,9 +71,12 @@ inline std::string HashFigures(const std::vector<ensemble::ScenarioResult>& lane
   return Hex(h.Finish());
 }
 
-inline std::string HashStates(const std::vector<mpc::BitVector>& states) {
+// Hashes a state lane column by column, each column as its one-byte-per-bit
+// image, so digests recorded from per-vertex state vectors still match.
+inline std::string HashStates(const mpc::PackedShareMatrix& states) {
   crypto::Sha256 h;
-  for (const mpc::BitVector& s : states) {
+  for (size_t v = 0; v < states.instances(); v++) {
+    const mpc::BitVector s = states.Instance(v);
     PutU64(&h, s.size());
     h.Update(s.data(), s.size());
   }
@@ -100,8 +103,8 @@ inline RunDigest DigestRun(const engine::Engine& engine, const engine::RunReport
   lane.reference = report.reference;
   RunDigest d;
   d.figures = HashFigures({lane});
-  std::vector<mpc::BitVector> states = engine.FinalStates();
-  if (!states.empty()) {
+  mpc::PackedShareMatrix states = engine.FinalStates();
+  if (states.instances() > 0) {
     d.states = HashStates(states);
   }
   d.traffic = HashTraffic(engine.transport());

@@ -17,6 +17,8 @@
 //     and W > 1 scenario lanes converge independently without cross-lane
 //     contamination. Plus the engine-level early-exit A/B: stopping at
 //     AllConverged releases the same figure as running all I iterations.
+//
+//  3. The lane-chunk packer (PackLaneChunk) against a per-bit reference.
 
 #include "src/graphplane/plane.h"
 
@@ -28,6 +30,7 @@
 
 #include "src/circuit/builder.h"
 #include "src/circuit/eval_plan.h"
+#include "src/common/rng.h"
 #include "src/core/vertex_program.h"
 #include "src/core/worker_pool.h"
 #include "src/engine/engine.h"
@@ -360,9 +363,8 @@ TEST(GraphPlaneFrontierTest, WordsDeactivateAndReactivateOnDelivery) {
   graphplane::GraphPlane plane(g, program, plan, &pool, &net, {});
 
   plane.Reset();
-  std::vector<mpc::BitVector> states(n, mpc::BitVector(4, 0));
-  states[0] = {1, 0, 1, 0};  // 5
-  graphplane::PackSoloStates(states, &plane.input_matrix());
+  const mpc::BitVector five = {1, 0, 1, 0};
+  plane.input_matrix().SetColumnWord(0, 0, 4, 5);  // every other state is 0
 
   // After Reset everything is active.
   EXPECT_EQ(plane.ActiveWords(), 3u);
@@ -384,7 +386,7 @@ TEST(GraphPlaneFrontierTest, WordsDeactivateAndReactivateOnDelivery) {
   plane.CommunicateStep();
   EXPECT_EQ(plane.stats().words_evaluated, 4u);
   EXPECT_EQ(plane.stats().words_skipped, 2u);
-  EXPECT_EQ(plane.VertexState(100, 0), states[0]);
+  EXPECT_EQ(plane.VertexState(100, 0), five);
   EXPECT_EQ(plane.ActiveWords(), 1u);
 
   // Iteration 3: vertex 100 re-evaluates to a fixed point; frontier drains.
@@ -410,8 +412,8 @@ TEST(GraphPlaneFrontierTest, WordsDeactivateAndReactivateOnDelivery) {
   EXPECT_EQ(sender.bytes_sent, 4u);  // 4-bit payload -> 1 byte per message
 
   // States are untouched by the converged rounds.
-  EXPECT_EQ(plane.VertexState(0, 0), states[0]);
-  EXPECT_EQ(plane.VertexState(100, 0), states[0]);
+  EXPECT_EQ(plane.VertexState(0, 0), five);
+  EXPECT_EQ(plane.VertexState(100, 0), five);
   EXPECT_EQ(plane.VertexState(64, 0), mpc::BitVector(4, 0));
 }
 
@@ -507,16 +509,67 @@ TEST(GraphPlaneFrontierTest, EarlyExitReleasesSameFigureAsFullRun) {
   EXPECT_EQ(e.released, f.released);
   ASSERT_TRUE(e.has_reference);
   EXPECT_EQ(e.reference, f.reference);
-  std::vector<mpc::BitVector> sf = full_engine.FinalStates();
-  std::vector<mpc::BitVector> se = early_engine.FinalStates();
-  ASSERT_EQ(se.size(), sf.size());
-  for (size_t v = 0; v < se.size(); v++) {
-    EXPECT_EQ(se[v], sf[v]) << "vertex " << v;
+  mpc::PackedShareMatrix sf = full_engine.FinalStates();
+  mpc::PackedShareMatrix se = early_engine.FinalStates();
+  ASSERT_EQ(se.instances(), sf.instances());
+  ASSERT_EQ(se.rows(), sf.rows());
+  for (size_t v = 0; v < se.instances(); v++) {
+    EXPECT_EQ(se.Instance(v), sf.Instance(v)) << "vertex " << v;
   }
   // EN on a 200-vertex scale-free network converges long before
   // ceil(log2 200) = 8 iterations, so the early run must be cheaper.
   EXPECT_LE(e.iterations, f.iterations);
   EXPECT_LT(e.metrics.total_bytes, f.metrics.total_bytes);
+}
+
+// --- lane-chunk packer --------------------------------------------------------
+
+// Every S-lane group PackLaneChunk writes equals the group assembled bit by
+// bit from the source lanes, across S, state widths on both sides of one
+// and several 64-bit words, a non-zero lane offset and N = 130 (two full
+// vertex words and a partial one). The stride gap lanes [S, P) stay zero.
+TEST(PackLaneChunkTest, MatchesPerBitReference) {
+  constexpr size_t kN = 130;
+  constexpr int kLo = 1;  // lane 0 is a decoy the chunk must not read
+  for (int num_scenarios : {2, 3, 63, 64}) {
+    int stride = 1;
+    while (stride < num_scenarios) {
+      stride <<= 1;
+    }
+    for (size_t state_bits : {1, 63, 64, 65, 304}) {
+      SCOPED_TRACE("S=" + std::to_string(num_scenarios) +
+                   " state_bits=" + std::to_string(state_bits));
+      Rng rng(static_cast<uint64_t>(num_scenarios) * 1000 + state_bits);
+      std::vector<mpc::PackedShareMatrix> lanes;
+      for (int s = 0; s < kLo + num_scenarios; s++) {
+        mpc::PackedShareMatrix lane(state_bits, kN);
+        for (size_t r = 0; r < state_bits; r++) {
+          for (size_t v = 0; v < kN; v++) {
+            lane.Set(r, v, rng.Below(2) == 1);
+          }
+        }
+        lanes.push_back(std::move(lane));
+      }
+      // Extra rows past state_bits stand for the plane's in-slot rows.
+      mpc::PackedShareMatrix in_mat(state_bits + 2, kN * static_cast<size_t>(stride));
+      graphplane::PackLaneChunk(lanes, kLo, num_scenarios, stride, &in_mat);
+      for (size_t r = 0; r < in_mat.rows(); r++) {
+        for (size_t v = 0; v < kN; v++) {
+          uint64_t want = 0;
+          for (int s = 0; r < state_bits && s < num_scenarios; s++) {
+            want |= static_cast<uint64_t>(lanes[static_cast<size_t>(kLo + s)].Get(r, v)) << s;
+          }
+          const size_t first = v * static_cast<size_t>(stride);
+          ASSERT_EQ(in_mat.GetLaneGroup(r, first, num_scenarios), want)
+              << "row " << r << " vertex " << v;
+          if (stride > num_scenarios) {
+            ASSERT_EQ(in_mat.GetLaneGroup(r, first + num_scenarios, stride - num_scenarios), 0u)
+                << "row " << r << " vertex " << v;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

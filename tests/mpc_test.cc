@@ -48,6 +48,23 @@ TEST(SharingTest, WordConversions) {
   EXPECT_EQ(BitsToSignedWord(WordToBits(0x7FFF, 16), 0, 16), 32767);
 }
 
+TEST(SharingTest, PackBitsIsLsbFirstAndInvertible) {
+  // 0xABCD over 16 bits packs to its little-endian bytes; a partial last
+  // byte is zero-padded.
+  EXPECT_EQ(PackBits(WordToBits(0xABCD, 16)), (Bytes{0xCD, 0xAB}));
+  EXPECT_EQ(PackBits(WordToBits(0x1F5, 9)), (Bytes{0xF5, 0x01}));
+  EXPECT_TRUE(PackBits({}).empty());
+  for (size_t bits : {1, 7, 8, 9, 63, 64, 65, 304}) {
+    BitVector v(bits);
+    for (size_t i = 0; i < bits; i++) {
+      v[i] = (i * 7 + bits) % 3 == 0 ? 1 : 0;
+    }
+    Bytes raw = PackBits(v);
+    EXPECT_EQ(raw.size(), (bits + 7) / 8);
+    EXPECT_EQ(UnpackBits(raw, bits), v) << bits;
+  }
+}
+
 void CheckTriples(const std::vector<BitTriples>& shares, size_t count) {
   for (size_t t = 0; t < count; t++) {
     int a = 0, b = 0, c = 0;

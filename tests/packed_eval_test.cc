@@ -97,6 +97,34 @@ TEST(PackedShareMatrixTest, RoundTripsInstances) {
   }
 }
 
+// SetColumnWord against a one-byte-per-bit model of the whole matrix: every
+// width 1..64, columns in both words of a row, writes that start below row
+// 64 and end above it, over a matrix pre-filled with random bits (so each
+// write must clear what it overwrites and touch nothing else).
+TEST(PackedShareMatrixTest, SetColumnWordOverwritesOnlyItsBits) {
+  constexpr size_t kRows = 133;
+  constexpr size_t kCols = 70;
+  Rng rng(12);
+  std::vector<BitVector> model = RandomInstances(13, kRows, kCols);
+  PackedShareMatrix m = PackedShareMatrix::FromInstances(model);
+  for (int width = 1; width <= 64; width++) {
+    const size_t w = static_cast<size_t>(width);
+    for (size_t first_row : {size_t{0}, 64 - (w + 1) / 2, kRows - w}) {
+      for (size_t col : {size_t{0}, size_t{63}, size_t{64}, kCols - 1}) {
+        const uint64_t value = rng.Next();
+        m.SetColumnWord(col, first_row, width, value);
+        for (size_t i = 0; i < w; i++) {
+          model[col][first_row + i] = (value >> i) & 1;
+        }
+      }
+      for (size_t j = 0; j < kCols; j++) {
+        ASSERT_EQ(m.Instance(j), model[j]) << "width " << width << " first row " << first_row
+                                           << " column " << j;
+      }
+    }
+  }
+}
+
 TEST(EvalPlanTest, PackedClearTextMatchesEvalOnRandomCorpus) {
   for (uint64_t seed = 1; seed <= 12; seed++) {
     Circuit circuit = RandomCircuit(seed, 8 + seed % 13, 60 + 20 * (seed % 5));

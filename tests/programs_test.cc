@@ -10,6 +10,7 @@
 #include "src/programs/influence.h"
 #include "src/programs/private_sum.h"
 #include "src/programs/reachability.h"
+#include "tests/lane_util.h"
 
 namespace dstress::programs {
 namespace {
@@ -238,10 +239,10 @@ TEST(ProgramCircuitTest, InfluenceUpdateMatchesArithmetic) {
   params.noise = NoNoise();
   core::VertexProgram program = BuildInfluenceProgram(params);
 
-  auto state = MakeInfluenceStates({1000})[0];
+  auto state = MakeInfluenceStates({1000}).Instance(0);
   std::vector<std::vector<uint8_t>> msgs;
-  msgs.push_back(MakeInfluenceStates({40})[0]);
-  msgs.push_back(MakeInfluenceStates({24})[0]);
+  msgs.push_back(MakeInfluenceStates({40}).Instance(0));
+  msgs.push_back(MakeInfluenceStates({24}).Instance(0));
   StepResult r = EvalUpdate(program, state, msgs);
   uint32_t new_mass = 0;
   for (int i = 0; i < kInfluenceStateBits; i++) {
@@ -258,7 +259,7 @@ TEST(ProgramCircuitTest, InfluenceUpdateMatchesArithmetic) {
 // --- end-to-end runs through the engine --------------------------------------
 
 int64_t EngineRun(const graph::Graph& g, core::VertexProgram program,
-                  std::vector<mpc::BitVector> states, uint64_t seed) {
+                  mpc::PackedShareMatrix states, uint64_t seed) {
   engine::RunSpec spec;
   spec.graph = g;
   spec.model = engine::ContagionModel::kCustom;
@@ -397,6 +398,110 @@ TEST(ProgramsEndToEndTest, HistogramMatchesReference) {
   int64_t released = EngineRun(g, program, states, 25);
   EXPECT_EQ(released, PlaintextPackedHistogram(buckets, params));
   EXPECT_EQ(UnpackHistogram(released, params), (std::vector<uint32_t>{2, 4, 2}));
+}
+
+// --- the packed packers vs their retired one-byte-per-bit forms -------------
+//
+// The Retired*States below are verbatim copies of the five Make*States from
+// when they returned one BitVector per vertex, before they wrote the packed
+// lane directly.
+
+std::vector<mpc::BitVector> RetiredHistogramStates(const std::vector<int>& buckets,
+                                                   const HistogramParams& params) {
+  std::vector<mpc::BitVector> states;
+  states.reserve(buckets.size());
+  for (int bucket : buckets) {
+    states.push_back(mpc::WordToBits(static_cast<uint64_t>(bucket), params.counter_bits));
+  }
+  return states;
+}
+
+std::vector<mpc::BitVector> RetiredComponentsStates(int num_vertices, int label_bits) {
+  std::vector<mpc::BitVector> states;
+  states.reserve(num_vertices);
+  for (int v = 0; v < num_vertices; v++) {
+    mpc::BitVector bits(2 * label_bits, 0);
+    uint32_t label = static_cast<uint32_t>(v) + 1;
+    for (int i = 0; i < label_bits; i++) {
+      uint8_t bit = static_cast<uint8_t>((label >> i) & 1);
+      bits[i] = bit;               // id half
+      bits[label_bits + i] = bit;  // label half
+    }
+    states.push_back(std::move(bits));
+  }
+  return states;
+}
+
+std::vector<mpc::BitVector> RetiredPrivateSumStates(const std::vector<uint32_t>& values,
+                                                    int value_bits) {
+  std::vector<mpc::BitVector> states;
+  states.reserve(values.size());
+  for (uint32_t value : values) {
+    mpc::BitVector bits(value_bits, 0);
+    for (int i = 0; i < value_bits && i < 32; i++) {
+      bits[i] = static_cast<uint8_t>((value >> i) & 1);
+    }
+    states.push_back(std::move(bits));
+  }
+  return states;
+}
+
+std::vector<mpc::BitVector> RetiredInfluenceStates(const std::vector<uint16_t>& masses) {
+  std::vector<mpc::BitVector> states;
+  states.reserve(masses.size());
+  for (uint16_t mass : masses) {
+    mpc::BitVector bits(kInfluenceStateBits, 0);
+    for (int i = 0; i < kInfluenceStateBits; i++) {
+      bits[i] = static_cast<uint8_t>((mass >> i) & 1);
+    }
+    states.push_back(std::move(bits));
+  }
+  return states;
+}
+
+std::vector<mpc::BitVector> RetiredReachabilityStates(int num_vertices,
+                                                      const std::vector<int>& sources) {
+  std::vector<mpc::BitVector> states(num_vertices, mpc::BitVector(8, 0));
+  for (int v : sources) {
+    states[v][0] = 1;
+  }
+  return states;
+}
+
+TEST(ProgramPackerTest, MatchesRetiredBitVectorPackers) {
+  for (int n : {1, 2, 63, 64, 65, 130}) {
+    SCOPED_TRACE("N=" + std::to_string(n));
+    Rng rng(700 + static_cast<uint64_t>(n));
+    HistogramParams hist;
+    hist.num_buckets = 5;
+    hist.counter_bits = 7;
+    std::vector<int> buckets;
+    std::vector<uint16_t> masses;
+    std::vector<int> sources;
+    for (int v = 0; v < n; v++) {
+      buckets.push_back(static_cast<int>(rng.Below(5)));
+      masses.push_back(static_cast<uint16_t>(rng.Below(1 << 16)));
+      if (rng.Below(3) == 0) {
+        sources.push_back(v);
+      }
+    }
+    lanes::ExpectLaneEq(MakeHistogramStates(buckets, hist), RetiredHistogramStates(buckets, hist));
+    lanes::ExpectLaneEq(MakeInfluenceStates(masses), RetiredInfluenceStates(masses));
+    lanes::ExpectLaneEq(MakeReachabilityStates(n, sources), RetiredReachabilityStates(n, sources));
+    for (int label_bits : {8, 9, 31}) {
+      lanes::ExpectLaneEq(MakeComponentsStates(n, label_bits),
+                          RetiredComponentsStates(n, label_bits));
+    }
+    for (int value_bits : {1, 12, 32, 40}) {
+      std::vector<uint32_t> values;
+      for (int v = 0; v < n; v++) {
+        values.push_back(value_bits >= 32 ? static_cast<uint32_t>(rng.Next())
+                                          : static_cast<uint32_t>(rng.Below(1ULL << value_bits)));
+      }
+      lanes::ExpectLaneEq(MakePrivateSumStates(values, value_bits),
+                          RetiredPrivateSumStates(values, value_bits));
+    }
+  }
 }
 
 // --- property sweep: plaintext references across generator families ---------

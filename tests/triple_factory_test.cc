@@ -210,10 +210,10 @@ graph::Graph Ring(int n) {
   return g.Build();
 }
 
-std::vector<mpc::BitVector> RingStates(int n) {
-  std::vector<mpc::BitVector> states;
+mpc::PackedShareMatrix RingStates(int n) {
+  mpc::PackedShareMatrix states(16, static_cast<size_t>(n));
   for (int v = 0; v < n; v++) {
-    states.push_back(mpc::WordToBits(10 + v, 16));
+    states.SetColumnWord(static_cast<size_t>(v), 0, 16, static_cast<uint64_t>(10 + v));
   }
   return states;
 }
