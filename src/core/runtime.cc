@@ -132,6 +132,37 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
   setup_config.seed = config.seed;
   setup_ = RunTrustedSetup(setup_config, graph);
 
+  // The aggregation plan. Extra blocks come from one RolePrg(0x55, 0)
+  // stream in level-major, group-minor order; the root is the aggregation
+  // block. Triple tags: kAggTripleTag at the root, +1+(level<<20)+g below.
+  const std::vector<AggregationLevel> shape =
+      AggregationShape(graph.num_vertices(), config.aggregation_fanout);
+  auto block_prg = RolePrg(0x55, 0);
+  for (size_t l = 0; l < shape.size(); l++) {
+    const bool root = l + 1 == shape.size();
+    AggregationStep step;
+    std::map<int, size_t> plan_of_size;
+    for (int g = 0; g < shape[l].groups(); g++) {
+      AggregationGroup group;
+      group.parties = root ? setup_.aggregation_block : setup_.MakeExtraBlock(block_prg);
+      group.begin = shape[l].GroupBegin(g);
+      group.end = shape[l].GroupEnd(g);
+      group.triple_tag =
+          root ? kAggTripleTag : kAggTripleTag + 1 + (static_cast<uint64_t>(l) << 20) + g;
+      const int size = group.end - group.begin;
+      auto [it, fresh] = plan_of_size.emplace(size, step.plans.size());
+      if (fresh) {
+        // Vertex children contribute states, partial children are words.
+        step.plans.emplace_back(l == 0 ? BuildAggregateCircuit(program, size, root)
+                                       : BuildCombineCircuit(program, size, root));
+      }
+      group.plan = it->second;
+      aggregation_ands_ += step.plans[group.plan].stats().num_and;
+      step.groups.push_back(std::move(group));
+    }
+    aggregation_.push_back(std::move(step));
+  }
+
   net_ = net::MakeTransport(
       config.transport.WithChannelHighWatermark(config.channel_high_watermark_bytes),
       graph.num_vertices());
@@ -199,75 +230,21 @@ void Runtime::EnqueueAggregateWave(int num_scenarios) {
   if (triple_supply_ == nullptr) {
     return;
   }
-  const int n = graph_.num_vertices();
   std::vector<mpc::TripleDemand> demands;
-  if (config_.aggregation_fanout == 0) {
-    const size_t num_and =
-        BuildAggregateCircuit(program_, n, /*with_noise=*/true).stats().num_and;
-    if (num_and > 0) {
+  for (const AggregationStep& step : aggregation_) {
+    for (const AggregationGroup& group : step.groups) {
+      const size_t num_and = step.plans[group.plan].stats().num_and;
+      if (num_and == 0) {
+        continue;
+      }
       mpc::TripleDemand d;
-      d.tag = kAggTripleTag;
-      d.parties = setup_.aggregation_block;
+      d.tag = group.triple_tag;
+      d.parties = group.parties;
+      // Lanes draw num_and each from the group's shared (tag, m) source.
       d.count = num_and * static_cast<size_t>(num_scenarios);
       demands.push_back(std::move(d));
     }
-    triple_supply_->Enqueue(std::move(demands));
-    return;
   }
-  // Tree aggregation (solo runs only — RunLanes requires fanout 0 at S > 1).
-  // Re-derive the level structure exactly as AggregateTree will: same
-  // RolePrg(0x55, 0) block stream, same per-size circuits, so the demand
-  // tags and counts line up with what each tree role draws.
-  DSTRESS_CHECK(num_scenarios == 1);
-  const int fanout = config_.aggregation_fanout;
-  auto block_prg = RolePrg(0x55, 0);
-  auto add_demand = [&](uint64_t tag, std::vector<int> parties, size_t count) {
-    if (count == 0) {
-      return;
-    }
-    mpc::TripleDemand d;
-    d.tag = tag;
-    d.parties = std::move(parties);
-    d.count = count;
-    demands.push_back(std::move(d));
-  };
-  int num_groups = (n + fanout - 1) / fanout;
-  std::map<int, size_t> leaf_ands;
-  for (int g = 0; g < num_groups; g++) {
-    std::vector<int> block = setup_.MakeExtraBlock(block_prg);
-    int size = std::min(n, g * fanout + fanout) - g * fanout;
-    auto it = leaf_ands.find(size);
-    if (it == leaf_ands.end()) {
-      it = leaf_ands
-               .emplace(size,
-                        BuildAggregateCircuit(program_, size, /*with_noise=*/false).stats().num_and)
-               .first;
-    }
-    add_demand(kAggTripleTag + 1 + static_cast<uint64_t>(g), std::move(block), it->second);
-  }
-  uint64_t level = 1;
-  int p = num_groups;
-  while (p > fanout) {
-    int next_groups = (p + fanout - 1) / fanout;
-    std::map<int, size_t> combine_ands;
-    for (int g = 0; g < next_groups; g++) {
-      std::vector<int> block = setup_.MakeExtraBlock(block_prg);
-      int size = std::min(p, g * fanout + fanout) - g * fanout;
-      auto it = combine_ands.find(size);
-      if (it == combine_ands.end()) {
-        it = combine_ands
-                 .emplace(size,
-                          BuildCombineCircuit(program_, size, /*with_noise=*/false).stats().num_and)
-                 .first;
-      }
-      add_demand(kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), std::move(block),
-                 it->second);
-    }
-    p = next_groups;
-    level++;
-  }
-  add_demand(kAggTripleTag, setup_.aggregation_block,
-             BuildCombineCircuit(program_, p, /*with_noise=*/true).stats().num_and);
   triple_supply_->Enqueue(std::move(demands));
 }
 
@@ -418,7 +395,8 @@ void Runtime::AccumulateBatchStats(const mpc::BatchStats& stats) {
   }
 }
 
-void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
+void Runtime::RunBatchedPhase(net::SessionId session,
+                              const std::vector<std::pair<int, int>>& roles,
                               const std::function<mpc::BatchInstance(int, int)>& make_item,
                               const std::function<void(size_t, const mpc::BitVector&)>& sink,
                               bool count_rounds) {
@@ -429,7 +407,7 @@ void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
   }
   mpc::BatchStats stats;
   std::vector<mpc::BitVector> outputs =
-      mpc::EvalBatchInstances(net_.get(), kBatchSession, std::move(items), &stats);
+      mpc::EvalBatchInstances(net_.get(), session, std::move(items), &stats);
   if (count_rounds) {
     AccumulateBatchStats(stats);
   } else {
@@ -450,7 +428,7 @@ void Runtime::ComputePhase(int num_scenarios) {
   const int n = graph_.num_vertices();
   const std::vector<std::pair<int, int>> roles = BlockRoles(num_scenarios * n, config_.block_size);
   RunBatchedPhase(
-      roles,
+      kBatchSession, roles,
       [&](int g, int m) {
         // Triple sources are shared per (vertex, member) across scenarios —
         // consumed in ascending scenario order at every member, and triple
@@ -573,327 +551,119 @@ void Runtime::CommunicatePhase(int scenario) {
   });
 }
 
-int64_t Runtime::AggregateSingleLevel() {
-  int n = graph_.num_vertices();
-  int k1 = config_.block_size;
-  circuit::Circuit agg_circuit = BuildAggregateCircuit(program_, n, /*with_noise=*/true);
-  last_aggregate_ands_ = agg_circuit.stats().num_and;
-
-  // Gather: member m of every B_v forwards its state share to member m of
-  // the aggregation block (index-aligned so collusion resistance carries
-  // over).
-  for (int v = 0; v < n; v++) {
-    for (int m = 0; m < k1; m++) {
-      net_->Send(setup_.blocks[v][m], setup_.aggregation_block[m],
-                 mpc::PackBits(state_shares_[v][m]), kAggGatherSession | static_cast<uint64_t>(v));
-    }
-  }
-
-  std::vector<int64_t> results(k1, 0);
-  pool_->RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
-    int m = static_cast<int>(m_flat);
-    int agg_node = setup_.aggregation_block[m];
-    mpc::BitVector input;
-    input.reserve(agg_circuit.num_inputs());
-    for (int v = 0; v < n; v++) {
-      Bytes raw = net_->Recv(agg_node, setup_.blocks[v][m],
-                             kAggGatherSession | static_cast<uint64_t>(v));
-      mpc::BitVector share = mpc::UnpackBits(raw, static_cast<size_t>(program_.state_bits));
-      mpc::AppendBits(&input, share);
-    }
-    // Noise randomness: each member feeds its own uniform bits as its input
-    // shares; the shared value is the XOR of all members' bits.
-    auto prg = RolePrg(kNoiseRoleTag, m_flat);
-    size_t noise_bits = dp::NoiseInputBits(program_.output_noise);
-    for (size_t b = 0; b < noise_bits; b++) {
-      input.push_back(prg.NextBit() ? 1 : 0);
-    }
-
-    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m);
-    mpc::GmwParty party(net_.get(), setup_.aggregation_block, m, triples, kAggEvalSession);
-    mpc::BitVector out_shares = party.Eval(agg_circuit, input);
-    triples_consumed_.fetch_add(agg_circuit.stats().num_and, std::memory_order_relaxed);
-    mpc::BitVector opened = party.Open(out_shares);
-    results[m] = mpc::BitsToSignedWord(opened, 0, program_.aggregate_bits);
-  });
-  return results[0];
-}
-
-int64_t Runtime::AggregateTree() {
-  int n = graph_.num_vertices();
-  int k1 = config_.block_size;
-  int fanout = config_.aggregation_fanout;
-  int num_groups = (n + fanout - 1) / fanout;
-
-  // Deterministic extra blocks for the tree leaves.
-  auto block_prg = RolePrg(0x55, 0);
-  std::vector<std::vector<int>> blocks;
-  blocks.reserve(num_groups);
-  for (int g = 0; g < num_groups; g++) {
-    blocks.push_back(setup_.MakeExtraBlock(block_prg));
-  }
-
-  // Gather shares to the leaf blocks.
-  for (int v = 0; v < n; v++) {
-    int g = v / fanout;
-    for (int m = 0; m < k1; m++) {
-      net_->Send(setup_.blocks[v][m], blocks[g][m], mpc::PackBits(state_shares_[v][m]),
-                 kAggGatherSession | static_cast<uint64_t>(v));
-    }
-  }
-
-  // Leaf level: partial sums of up to `fanout` vertex states stay shared.
-  // Each role's input is the gathered state shares of its group's vertices;
-  // each distinct group size needs its own circuit (the last group may be
-  // short), precompiled once per level.
-  std::map<int, std::pair<circuit::Circuit, circuit::EvalPlan>> leaf_plans;
-  auto leaf_plan_for = [&](int size) -> const circuit::EvalPlan& {
-    auto it = leaf_plans.find(size);
-    if (it == leaf_plans.end()) {
-      circuit::Circuit c = BuildAggregateCircuit(program_, size, /*with_noise=*/false);
-      circuit::EvalPlan plan(c);
-      it = leaf_plans.emplace(size, std::make_pair(std::move(c), std::move(plan))).first;
-    }
-    return it->second.second;
-  };
-  leaf_plan_for(std::min(n, fanout));
-  if (n % fanout != 0) {
-    leaf_plan_for(n - (num_groups - 1) * fanout);
-  }
-  auto leaf_input = [&](int g, int m) {
-    int lo = g * fanout;
-    int hi = std::min(n, lo + fanout);
-    int agg_node = blocks[g][m];
-    mpc::BitVector input;
-    for (int v = lo; v < hi; v++) {
-      Bytes raw = net_->Recv(agg_node, setup_.blocks[v][m],
-                             kAggGatherSession | static_cast<uint64_t>(v));
-      mpc::AppendBits(&input, mpc::UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
-    }
-    return input;
-  };
-  std::vector<std::vector<mpc::BitVector>> shares(num_groups, std::vector<mpc::BitVector>(k1));
-  // All leaf roles advance in lockstep (see ComputePhase).
-  const std::vector<std::pair<int, int>> leaf_roles = BlockRoles(num_groups, k1);
-  RunBatchedPhase(
-      leaf_roles,
-      [&](int g, int m) {
-        int size = std::min(n, g * fanout + fanout) - g * fanout;
-        mpc::BatchInstance item = NewInstance(
-            leaf_plan_for(size), blocks[g], m,
-            TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m),
-            static_cast<uint64_t>(g));
-        item.input_shares = leaf_input(g, m);
-        return item;
-      },
-      [&](size_t i, const mpc::BitVector& output) {
-        shares[leaf_roles[i].first][leaf_roles[i].second] = output;
-      },
-      /*count_rounds=*/false);
-
-  // Intermediate combine levels (without noise) until one root group of at
-  // most `fanout` partials remains — the general tree of §3.6. For the
-  // N=1750, fanout=100 deployment this loop never executes (depth 2); it
-  // matters when fanout is small relative to N.
-  uint64_t level = 1;
-  while (static_cast<int>(shares.size()) > fanout) {
-    int p = static_cast<int>(shares.size());
-    int next_groups = (p + fanout - 1) / fanout;
-    std::vector<std::vector<int>> next_blocks;
-    next_blocks.reserve(next_groups);
-    for (int g = 0; g < next_groups; g++) {
-      next_blocks.push_back(setup_.MakeExtraBlock(block_prg));
-    }
-    for (int g = 0; g < p; g++) {
-      for (int m = 0; m < k1; m++) {
-        net_->Send(blocks[g][m], next_blocks[g / fanout][m], mpc::PackBits(shares[g][m]),
-                   kAggCombineSession | (level << 32) | static_cast<uint64_t>(g));
-      }
-    }
-    std::map<int, std::pair<circuit::Circuit, circuit::EvalPlan>> combine_plans;
-    auto combine_plan_for = [&](int size) -> const circuit::EvalPlan& {
-      auto it = combine_plans.find(size);
-      if (it == combine_plans.end()) {
-        circuit::Circuit c = BuildCombineCircuit(program_, size, /*with_noise=*/false);
-        circuit::EvalPlan plan(c);
-        it = combine_plans.emplace(size, std::make_pair(std::move(c), std::move(plan))).first;
-      }
-      return it->second.second;
-    };
-    combine_plan_for(std::min(p, fanout));
-    combine_plan_for(p - (next_groups - 1) * fanout);
-    auto combine_input = [&, p](int g, int m, const std::vector<std::vector<int>>& nb) {
-      int lo = g * fanout;
-      int hi = std::min(p, lo + fanout);
-      int agg_node = nb[g][m];
-      mpc::BitVector input;
-      for (int child = lo; child < hi; child++) {
-        Bytes raw =
-            net_->Recv(agg_node, blocks[child][m],
-                       kAggCombineSession | (level << 32) | static_cast<uint64_t>(child));
-        mpc::AppendBits(&input, mpc::UnpackBits(raw, static_cast<size_t>(program_.aggregate_bits)));
-      }
-      return input;
-    };
-    std::vector<std::vector<mpc::BitVector>> next_shares(next_groups,
-                                                         std::vector<mpc::BitVector>(k1));
-    const std::vector<std::pair<int, int>> roles = BlockRoles(next_groups, k1);
-    RunBatchedPhase(
-        roles,
-        [&](int g, int m) {
-          int size = std::min(p, g * fanout + fanout) - g * fanout;
-          mpc::BatchInstance item = NewInstance(
-              combine_plan_for(size), next_blocks[g], m,
-              TripleSourceFor(kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m),
-              static_cast<uint64_t>(g));
-          item.input_shares = combine_input(g, m, next_blocks);
-          return item;
-        },
-        [&](size_t i, const mpc::BitVector& output) {
-          next_shares[roles[i].first][roles[i].second] = output;
-        },
-        /*count_rounds=*/false);
-
-    blocks = std::move(next_blocks);
-    shares = std::move(next_shares);
-    level++;
-  }
-
-  // Root: combine the remaining partials and add the output noise.
-  int p = static_cast<int>(shares.size());
-  for (int g = 0; g < p; g++) {
-    for (int m = 0; m < k1; m++) {
-      net_->Send(blocks[g][m], setup_.aggregation_block[m], mpc::PackBits(shares[g][m]),
-                 kAggCombineSession | (level << 32) | static_cast<uint64_t>(g));
-    }
-  }
-  circuit::Circuit combine_circuit = BuildCombineCircuit(program_, p, /*with_noise=*/true);
-  last_aggregate_ands_ += combine_circuit.stats().num_and;
-  std::vector<int64_t> results(k1, 0);
-  pool_->RunGrouped(1, static_cast<size_t>(k1), [&](size_t, size_t m_flat) {
-    int m = static_cast<int>(m_flat);
-    int root_node = setup_.aggregation_block[m];
-    mpc::BitVector input;
-    for (int g = 0; g < p; g++) {
-      Bytes raw = net_->Recv(root_node, blocks[g][m],
-                             kAggCombineSession | (level << 32) | static_cast<uint64_t>(g));
-      mpc::AppendBits(&input, mpc::UnpackBits(raw, static_cast<size_t>(program_.aggregate_bits)));
-    }
-    auto prg = RolePrg(0x66, m_flat);
-    size_t noise_bits = dp::NoiseInputBits(program_.output_noise);
-    for (size_t b = 0; b < noise_bits; b++) {
-      input.push_back(prg.NextBit() ? 1 : 0);
-    }
-    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m);
-    mpc::GmwParty party(net_.get(), setup_.aggregation_block, m, triples, kAggEvalSession);
-    mpc::BitVector out_shares = party.Eval(combine_circuit, input);
-    triples_consumed_.fetch_add(combine_circuit.stats().num_and, std::memory_order_relaxed);
-    mpc::BitVector opened = party.Open(out_shares);
-    results[m] = mpc::BitsToSignedWord(opened, 0, program_.aggregate_bits);
-  });
-  return results[0];
-}
-
-int64_t Runtime::AggregatePhase() {
-  if (config_.aggregation_fanout > 0) {
-    return AggregateTree();
-  }
-  return AggregateSingleLevel();
-}
-
 // --- the lane loop (RunLanes) -----------------------------------------------
 //
 // S scenarios advance in lockstep as lanes of the batched planes: role
 // (s, v) lives at flat share index s*n + v, compute phases batch all S*n
 // vertex instances into one EvalBatchInstances pass, transfers run the
-// scenario-salted CommunicatePhase per lane, and aggregation opens S noised
-// figures (AggregatePhase for the solo lane, one batched flat aggregation
-// for S > 1). Lane s's released figure equals a solo run of its states:
-// init-share and transfer randomness cancel out of opened values, and the
-// aggregation noise is drawn from the same (kNoiseRoleTag, m) streams every
-// solo run uses.
+// scenario-salted CommunicatePhase per lane, and AggregatePhase runs every
+// lane through the one aggregation plan. Lane s's released figure and
+// traffic equal a solo run of its states: init-share and transfer
+// randomness cancel out of opened values, and every lane draws the root
+// noise from the same per-member streams a solo run uses.
 
-std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
+std::vector<int64_t> Runtime::AggregatePhase(int num_scenarios) {
   const int n = graph_.num_vertices();
   const int k1 = config_.block_size;
-  circuit::Circuit agg_circuit = BuildAggregateCircuit(program_, n, /*with_noise=*/true);
-  circuit::EvalPlan agg_plan(agg_circuit);
-  const size_t num_and = agg_circuit.stats().num_and;
-  last_aggregate_ands_ = num_and * static_cast<size_t>(num_scenarios);
+  // The previous level's output shares, [(s * groups + g) * k1 + m].
+  std::vector<mpc::BitVector> partials;
+  for (size_t l = 0; l < aggregation_.size(); l++) {
+    const AggregationStep& step = aggregation_[l];
+    const bool root = l + 1 == aggregation_.size();
+    const int num_groups = static_cast<int>(step.groups.size());
+    const int num_children = step.groups.back().end;
+    const size_t child_bits =
+        static_cast<size_t>(l == 0 ? program_.state_bits : program_.aggregate_bits);
+    const net::SessionId gather =
+        l == 0 ? kAggGatherSession : kAggCombineSession | (static_cast<uint64_t>(l) << 32);
+    // Child c of lane s: member m's node and its share.
+    auto child_node = [&](int c, int m) {
+      return l == 0 ? setup_.blocks[c][m] : aggregation_[l - 1].groups[c].parties[m];
+    };
+    auto child_share = [&](int s, int c, int m) -> const mpc::BitVector& {
+      return l == 0 ? state_shares_[static_cast<size_t>(s) * n + c][m]
+                    : partials[(static_cast<size_t>(s) * num_children + c) * k1 + m];
+    };
 
-  for (int s = 0; s < num_scenarios; s++) {
-    const uint64_t salt = static_cast<uint64_t>(s) << 40;
-    for (int v = 0; v < n; v++) {
-      for (int m = 0; m < k1; m++) {
-        net_->Send(setup_.blocks[v][m], setup_.aggregation_block[m],
-                   mpc::PackBits(state_shares_[static_cast<size_t>(s) * n + v][m]),
-                   kAggGatherSession | salt | static_cast<uint64_t>(v));
+    // Gather: member m of every child forwards its share to member m of the
+    // child's group.
+    for (int s = 0; s < num_scenarios; s++) {
+      const uint64_t salt = static_cast<uint64_t>(s) << 40;
+      for (const AggregationGroup& group : step.groups) {
+        for (int c = group.begin; c < group.end; c++) {
+          for (int m = 0; m < k1; m++) {
+            net_->Send(child_node(c, m), group.parties[m], mpc::PackBits(child_share(s, c, m)),
+                       gather | salt | static_cast<uint64_t>(c));
+          }
+        }
       }
     }
+
+    const std::vector<std::pair<int, int>> roles = BlockRoles(num_scenarios * num_groups, k1);
+    std::vector<mpc::BitVector> outputs(roles.size());
+    RunBatchedPhase(
+        kAggEvalSession, roles,
+        [&](int sg, int m) {
+          const int s = sg / num_groups;
+          const uint64_t salt = static_cast<uint64_t>(s) << 40;
+          const AggregationGroup& group = step.groups[sg % num_groups];
+          mpc::BatchInstance item =
+              NewInstance(step.plans[group.plan], group.parties, m,
+                          TripleSourceFor(group.triple_tag, m), static_cast<uint64_t>(sg));
+          for (int c = group.begin; c < group.end; c++) {
+            Bytes raw = net_->Recv(group.parties[m], child_node(c, m),
+                                   gather | salt | static_cast<uint64_t>(c));
+            mpc::AppendBits(&item.input_shares, mpc::UnpackBits(raw, child_bits));
+          }
+          if (root) {
+            // Noise randomness: each member feeds its own uniform bits as
+            // its input shares, from a fresh per-lane copy of the stream a
+            // solo run draws ((kNoiseRoleTag, m) flat, (0x66, m) at a tree
+            // root).
+            auto prg = RolePrg(config_.aggregation_fanout == 0 ? kNoiseRoleTag : 0x66,
+                               static_cast<uint64_t>(m));
+            const size_t noise_bits = dp::NoiseInputBits(program_.output_noise);
+            for (size_t b = 0; b < noise_bits; b++) {
+              item.input_shares.push_back(prg.NextBit() ? 1 : 0);
+            }
+          }
+          return item;
+        },
+        [&](size_t i, const mpc::BitVector& output) { outputs[i] = output; },
+        /*count_rounds=*/false);
+    partials = std::move(outputs);
   }
 
-  const std::vector<std::pair<int, int>> roles = BlockRoles(num_scenarios, k1);  // (s, member)
-  std::vector<std::vector<mpc::BitVector>> out_shares(num_scenarios,
-                                                      std::vector<mpc::BitVector>(k1));
-  RunBatchedPhase(
-      roles,
-      [&](int s, int m) {
-        const uint64_t salt = static_cast<uint64_t>(s) << 40;
-        mpc::BitVector input;
-        input.reserve(agg_circuit.num_inputs());
-        for (int v = 0; v < n; v++) {
-          Bytes raw = net_->Recv(setup_.aggregation_block[m], setup_.blocks[v][m],
-                                 kAggGatherSession | salt | static_cast<uint64_t>(v));
-          mpc::AppendBits(&input, mpc::UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
-        }
-        // Fresh (kNoiseRoleTag, m) stream per scenario: every lane gets the
-        // exact noise its solo run would draw.
-        auto prg = RolePrg(kNoiseRoleTag, static_cast<uint64_t>(m));
-        size_t noise_bits = dp::NoiseInputBits(program_.output_noise);
-        for (size_t b = 0; b < noise_bits; b++) {
-          input.push_back(prg.NextBit() ? 1 : 0);
-        }
-        mpc::BatchInstance item =
-            NewInstance(agg_plan, setup_.aggregation_block, m,
-                        TripleSourceFor(kAggTripleTag, m),
-                        static_cast<uint64_t>(s));
-        item.input_shares = std::move(input);
-        return item;
-      },
-      [&](size_t i, const mpc::BitVector& output) {
-        out_shares[roles[i].first][roles[i].second] = output;
-      },
-      /*count_rounds=*/false);
-
-  // Open every scenario's noised aggregate: a full share exchange among the
-  // aggregation block (every member both sends and receives, so no session
-  // queue is left behind).
+  // Open: every root member sends its output share to every other member
+  // in GmwParty::Open's payload (the bits as little-endian 64-bit words),
+  // then XORs in what it receives.
+  const std::vector<int>& root = setup_.aggregation_block;
+  const size_t out_bits = static_cast<size_t>(program_.aggregate_bits);
+  const size_t payload_bytes = 8 * ((out_bits + 63) / 64);
   for (int s = 0; s < num_scenarios; s++) {
-    const uint64_t salt = static_cast<uint64_t>(s) << 40;
     for (int m = 0; m < k1; m++) {
+      Bytes payload = mpc::PackBits(partials[static_cast<size_t>(s) * k1 + m]);
+      payload.resize(payload_bytes, 0);
       for (int m2 = 0; m2 < k1; m2++) {
-        if (m2 == m) {
-          continue;
+        if (m2 != m) {
+          net_->Send(root[m], root[m2], payload, kAggEvalSession);
         }
-        net_->Send(setup_.aggregation_block[m], setup_.aggregation_block[m2],
-                   mpc::PackBits(out_shares[s][m]),
-                   kAggCombineSession | salt | static_cast<uint64_t>(m));
       }
     }
   }
   std::vector<int64_t> results(num_scenarios, 0);
   for (int s = 0; s < num_scenarios; s++) {
-    const uint64_t salt = static_cast<uint64_t>(s) << 40;
     for (int m = 0; m < k1; m++) {
-      mpc::BitVector opened = out_shares[s][m];
+      mpc::BitVector opened = partials[static_cast<size_t>(s) * k1 + m];
       for (int m2 = 0; m2 < k1; m2++) {
         if (m2 == m) {
           continue;
         }
-        Bytes raw = net_->Recv(setup_.aggregation_block[m], setup_.aggregation_block[m2],
-                               kAggCombineSession | salt | static_cast<uint64_t>(m2));
-        mpc::BitVector other = mpc::UnpackBits(raw, opened.size());
-        for (size_t b = 0; b < opened.size(); b++) {
+        Bytes raw = net_->Recv(root[m], root[m2], kAggEvalSession);
+        DSTRESS_CHECK(raw.size() == payload_bytes);
+        raw.resize((out_bits + 7) / 8);
+        const mpc::BitVector other = mpc::UnpackBits(raw, out_bits);
+        for (size_t b = 0; b < out_bits; b++) {
           opened[b] ^= other[b];
         }
       }
@@ -918,8 +688,7 @@ std::vector<int64_t> Runtime::RunLanes(const std::vector<mpc::PackedShareMatrix>
     DSTRESS_CHECK(states.instances() == static_cast<size_t>(graph_.num_vertices()));
   }
   // A solo run may checkpoint, resume and aggregate through a tree; S > 1
-  // aggregates all lanes through the flat batched aggregation, which has
-  // no tree variant, and is never checkpointed.
+  // is never checkpointed and aggregates flat.
   const bool solo = num_scenarios == 1;
   DSTRESS_CHECK(solo || config_.aggregation_fanout == 0);
 
@@ -990,11 +759,8 @@ std::vector<int64_t> Runtime::RunLanes(const std::vector<mpc::PackedShareMatrix>
   EnqueueAggregateWave(num_scenarios);
   run_phase(&m->compute, [&] { ComputePhase(num_scenarios); });
   std::vector<int64_t> results;
-  last_aggregate_ands_ = 0;
-  run_phase(&m->aggregate, [&] {
-    results = solo ? std::vector<int64_t>{AggregatePhase()} : AggregateEnsemble(num_scenarios);
-  });
-  m->aggregate_and_gates = last_aggregate_ands_;
+  run_phase(&m->aggregate, [&] { results = AggregatePhase(num_scenarios); });
+  m->aggregate_and_gates = aggregation_ands_ * static_cast<size_t>(num_scenarios);
 
   m->total_seconds = total.ElapsedSeconds();
   m->total_bytes = net_->TotalBytes() - bytes_before;

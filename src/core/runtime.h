@@ -29,18 +29,21 @@
 //  * Communication step — every directed edge runs the §3.5 transfer
 //    protocol, moving each message's sharing from the sender's block to the
 //    receiver's block through the two edge endpoints.
-//  * Aggregation + noising — blocks forward their state shares
-//    (member-index aligned) to the aggregation block, which evaluates the
-//    contribution-sum circuit plus the in-MPC discrete-Laplace sampler and
-//    opens only the noised total. With aggregation_fanout > 0 an
-//    aggregation tree is used (§3.6's scalable variant): leaf blocks sum
-//    groups of `fanout` states, intermediate blocks combine up to `fanout`
-//    partials per level (all sums stay shared), and only the root adds
-//    noise and opens.
+//  * Aggregation + noising — one level plan, built once per Runtime from
+//    AggregationShape (vertex_program.h), run by one executor for every
+//    lane count. Each level's groups receive their children's shares
+//    (member-index aligned, so collusion resistance carries over) and sum
+//    them in GMW; the root group, played by the aggregation block, adds
+//    the in-MPC discrete-Laplace sample and opens only the noised total.
+//    A flat run (aggregation_fanout == 0) is a root-only plan over every
+//    vertex. With aggregation_fanout > 0 it is §3.6's scalable tree: leaf
+//    blocks sum groups of `fanout` states, intermediate blocks combine up
+//    to `fanout` partials per level (all sums stay shared), and only the
+//    root adds noise and opens.
 //
-// Scheduling: a computation step (like each aggregation-tree level below
-// the root) is one lockstep batched GMW evaluation over all of its (block,
-// member) roles; a communication step runs four barrier-separated sub-phases of per-edge
+// Scheduling: a computation step, like each aggregation level, is one
+// lockstep batched GMW evaluation over all of its (block, member) roles; a
+// communication step runs four barrier-separated sub-phases of per-edge
 // batched transfer tasks. Tasks go to a persistent worker pool that admits
 // whole groups only while every subtask of the admitted set can hold a
 // thread concurrently; sends never block, so every admitted protocol
@@ -58,11 +61,12 @@
 #include <string>
 #include <vector>
 
+#include "src/circuit/eval_plan.h"
 #include "src/core/setup.h"
 #include "src/core/vertex_program.h"
 #include "src/core/worker_pool.h"
 #include "src/graph/graph.h"
-#include "src/mpc/gmw.h"
+#include "src/mpc/batch_eval.h"
 #include "src/mpc/packed.h"
 #include "src/mpc/triple_factory.h"
 #include "src/net/transport.h"
@@ -147,6 +151,9 @@ struct RunMetrics {
   uint64_t total_bytes = 0;
   double avg_bytes_per_node = 0;
   size_t update_and_gates = 0;
+  // Secure runs: the AND gates of every group of every aggregation level
+  // (the root alone when flat), times the lane count. The cleartext plane
+  // counts only its contribution and noise circuits.
   size_t aggregate_and_gates = 0;
   // Circuit-stats surface (run_spec.h FormatReport): the update circuit's
   // AND depth is the number of GMW communication rounds one computation
@@ -238,13 +245,11 @@ class Runtime {
   // batched transfer crypto (docs/transfer-crypto.md). `scenario` selects
   // the ensemble lane (0 = the solo run).
   void CommunicatePhase(int scenario);
-  int64_t AggregatePhase();
-  int64_t AggregateSingleLevel();
-  int64_t AggregateTree();
-
-  // Multi-lane aggregation (RunLanes, S > 1): one batched flat
-  // aggregation opens all S noised figures.
-  std::vector<int64_t> AggregateEnsemble(int num_scenarios);
+  // Aggregation step: runs the aggregation_ plan level by level for all S
+  // = num_scenarios lanes — per level the gather sends, then one batched
+  // evaluation over every (lane, group, member) role — and opens the S
+  // noised figures among the aggregation block.
+  std::vector<int64_t> AggregatePhase(int num_scenarios);
 
   // This party's share of one update-circuit input vector (state + incoming
   // message slots) and the inverse scatter of an output vector.
@@ -254,18 +259,18 @@ class Runtime {
 
   // Shared scheduler for a batched MPC phase over `roles` = (group,
   // member) pairs: the whole phase is one lockstep EvalBatchInstances call
-  // on the calling thread. Nothing ever parks: each round's receives are
-  // satisfied by sends earlier in the same round, and triple sources are
-  // local (dealer tapes, or supply views whose OT traffic already ran in
-  // the phase's offline wave). make_item(g, m) builds the instance
-  // (triples drawn inside, in role order), sink(i, output) stores role i's
-  // output shares.
+  // on the calling thread, exchanging openings on `session`. Nothing ever
+  // parks: each round's receives are satisfied by sends earlier in the
+  // same round, and triple sources are local (dealer tapes, or supply
+  // views whose OT traffic already ran in the phase's offline wave).
+  // make_item(g, m) builds the instance (triples drawn inside, in role
+  // order), sink(i, output) stores role i's output shares.
   //
   // Scheduling tradeoff (see the ROADMAP open item on multi-core policy):
   // one scheduler trades cross-block thread parallelism for maximal
   // slicing width and zero blocking — the right trade when per-layer
   // synchronization dominates.
-  void RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
+  void RunBatchedPhase(net::SessionId session, const std::vector<std::pair<int, int>>& roles,
                        const std::function<mpc::BatchInstance(int, int)>& make_item,
                        const std::function<void(size_t, const mpc::BitVector&)>& sink,
                        bool count_rounds);
@@ -276,8 +281,8 @@ class Runtime {
   // Offline-phase demand estimation (config_.use_ot_triples): registers one
   // supply wave covering every triple the named phase will draw —
   // update-circuit AND count x scenarios per vertex block for a
-  // computation step, the aggregation circuits' AND counts for the
-  // aggregation step (flat or tree). No-ops with dealer triples.
+  // computation step, each aggregation_ group's AND count x scenarios for
+  // the aggregation step. No-ops with dealer triples.
   void EnqueueComputeWave(int num_scenarios);
   void EnqueueAggregateWave(int num_scenarios);
 
@@ -304,6 +309,25 @@ class Runtime {
   TrustedSetup setup_;
   std::unique_ptr<net::Transport> net_;
   std::unique_ptr<crypto::DlogTable> dlog_table_;
+  // One group of an aggregation level: `parties` (a fresh extra block, or
+  // the aggregation block at the root) sum children [begin, end) of the
+  // level with plans[plan], drawing triples under `triple_tag`.
+  struct AggregationGroup {
+    std::vector<int> parties;
+    int begin = 0;
+    int end = 0;
+    size_t plan = 0;
+    uint64_t triple_tag = 0;
+  };
+  struct AggregationStep {
+    std::vector<AggregationGroup> groups;
+    std::vector<circuit::EvalPlan> plans;  // one per distinct group size
+  };
+  // The aggregation schedule, one step per AggregationShape level (the
+  // last is the root); both EnqueueAggregateWave and AggregatePhase read
+  // it, and aggregate_and_gates is its AND total.
+  std::vector<AggregationStep> aggregation_;
+  size_t aggregation_ands_ = 0;
   // Noise points for the batched aggregation step, sized to the dlog table
   // range; built on the first batched communication step.
   std::unique_ptr<transfer::EvenNoiseCache> noise_cache_;
@@ -325,7 +349,6 @@ class Runtime {
   std::unique_ptr<mpc::TripleSupply> triple_supply_;
 
   int threads_target_ = 0;
-  size_t last_aggregate_ands_ = 0;
 
   // Per-run circuit-stat accumulators (RunMetrics surface).
   std::atomic<uint64_t> triples_consumed_{0};

@@ -66,4 +66,19 @@ Circuit BuildCombineCircuit(const VertexProgram& program, int num_partials, bool
   return builder.Build();
 }
 
+std::vector<AggregationLevel> AggregationShape(int num_vertices, int fanout) {
+  DSTRESS_CHECK(num_vertices >= 1);
+  DSTRESS_CHECK(fanout == 0 || fanout >= 2);  // fanout 1 would never shrink
+  std::vector<AggregationLevel> levels;
+  int children = num_vertices;
+  if (fanout > 0) {
+    do {
+      levels.push_back({children, fanout});
+      children = levels.back().groups();
+    } while (children > fanout);
+  }
+  levels.push_back({children, children});
+  return levels;
+}
+
 }  // namespace dstress::core

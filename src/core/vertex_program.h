@@ -16,6 +16,7 @@
 #ifndef SRC_CORE_VERTEX_PROGRAM_H_
 #define SRC_CORE_VERTEX_PROGRAM_H_
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -60,14 +61,6 @@ struct VertexProgram {
   dp::NoiseCircuitSpec output_noise;
 };
 
-// Materialized circuits for a program (built once per run).
-struct ProgramCircuits {
-  circuit::Circuit update;     // inputs: state + D*L; outputs: state + D*L
-  circuit::Circuit aggregate;  // inputs: group_size*state + noise bits (optional)
-  int aggregate_group_size = 0;
-  bool aggregate_has_noise = false;
-};
-
 // Builds the update circuit for `program`.
 circuit::Circuit BuildUpdateCircuit(const VertexProgram& program);
 
@@ -82,6 +75,25 @@ circuit::Circuit BuildAggregateCircuit(const VertexProgram& program, int group_s
 // `num_partials` aggregate_bits-wide partial sums and adds noise.
 circuit::Circuit BuildCombineCircuit(const VertexProgram& program, int num_partials,
                                      bool with_noise);
+
+// One level of the §3.6 aggregation schedule: its `children` (the vertices
+// at the first level, the previous level's partial sums after it) are cut
+// into consecutive groups of `group_width`; the last group may be short.
+struct AggregationLevel {
+  int children = 0;
+  int group_width = 0;
+
+  int groups() const { return (children + group_width - 1) / group_width; }
+  int GroupBegin(int g) const { return g * group_width; }
+  int GroupEnd(int g) const { return std::min(children, (g + 1) * group_width); }
+};
+
+// The shape of the aggregation over `num_vertices` vertices, the one tree
+// both execution planes walk. fanout 0 is flat: a single root level over
+// every vertex. fanout >= 2 is a tree: a leaf level of `fanout`-vertex
+// groups, combine levels while more than `fanout` partials remain, then the
+// root. The last level is always the root, one group over all its children.
+std::vector<AggregationLevel> AggregationShape(int num_vertices, int fanout);
 
 }  // namespace dstress::core
 

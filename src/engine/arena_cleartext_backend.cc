@@ -169,129 +169,94 @@ class ArenaCleartextBackend : public ExecutionBackend {
     }
   }
 
+  // The node that plays each group of each aggregation level: the node of
+  // its first child (vertex v is node v), and kAggregatorNode at the root.
+  static std::vector<std::vector<int>> GroupNodes(
+      const std::vector<core::AggregationLevel>& levels) {
+    std::vector<std::vector<int>> nodes(levels.size());
+    for (size_t l = 0; l < levels.size(); l++) {
+      for (int g = 0; g < levels[l].groups(); g++) {
+        const int first = levels[l].GroupBegin(g);
+        int node = kAggregatorNode;
+        if (l + 1 < levels.size()) {
+          node = l == 0 ? first : nodes[l - 1][static_cast<size_t>(first)];
+        }
+        nodes[l].push_back(node);
+      }
+    }
+    return nodes;
+  }
+
   // Tree gather (one lane only; the multi-lane aggregation schedule is
-  // flat, mirroring the secure plane). Bulk-metered mode replays the literal
-  // §3.6 tree's traffic (GatherTreeLiteral) as one delta; the sum itself
-  // is the packed flat reduction — associative two's-complement addition
-  // makes it equal to the tree's level-by-level partials.
+  // flat, mirroring the secure plane) over core::AggregationShape, the
+  // secure plan's tree. Bulk-metered mode replays the literal §3.6 tree's
+  // traffic (GatherTreeLiteral) as one delta; the sum itself is the packed
+  // flat reduction — associative two's-complement addition makes it equal
+  // to the tree's level-by-level partials.
   uint64_t MeterGatherTree() {
     const int n = graph_.num_vertices();
-    const int fanout = config_.aggregation_fanout;
     const uint64_t state_bytes = (static_cast<uint64_t>(program_.state_bits) + 7) / 8;
     const uint64_t agg_bytes = (static_cast<uint64_t>(program_.aggregate_bits) + 7) / 8;
+    const std::vector<core::AggregationLevel> levels =
+        core::AggregationShape(n, config_.aggregation_fanout);
+    const std::vector<std::vector<int>> nodes = GroupNodes(levels);
 
     std::vector<net::TrafficStats> delta(static_cast<size_t>(n));
-    auto meter = [&](int from, int to, uint64_t bytes) {
-      delta[static_cast<size_t>(from)].bytes_sent += bytes;
-      delta[static_cast<size_t>(from)].messages_sent += 1;
-      delta[static_cast<size_t>(to)].bytes_received += bytes;
-      delta[static_cast<size_t>(to)].messages_received += 1;
-    };
-    for (int v = 0; v < n; v++) {
-      meter(v, (v / fanout) * fanout, state_bytes);
-    }
-    const int num_groups = (n + fanout - 1) / fanout;
-    std::vector<int> owners(static_cast<size_t>(num_groups));
-    for (int g = 0; g < num_groups; g++) {
-      owners[static_cast<size_t>(g)] = g * fanout;
-    }
-    while (static_cast<int>(owners.size()) > fanout) {
-      const int p = static_cast<int>(owners.size());
-      for (int g = 0; g < p; g++) {
-        meter(owners[static_cast<size_t>(g)], owners[static_cast<size_t>((g / fanout) * fanout)],
-              agg_bytes);
+    for (size_t l = 0; l < levels.size(); l++) {
+      for (int c = 0; c < levels[l].children; c++) {
+        const int from = l == 0 ? c : nodes[l - 1][static_cast<size_t>(c)];
+        const int to = nodes[l][static_cast<size_t>(c / levels[l].group_width)];
+        const uint64_t bytes = l == 0 ? state_bytes : agg_bytes;
+        delta[static_cast<size_t>(from)].bytes_sent += bytes;
+        delta[static_cast<size_t>(from)].messages_sent += 1;
+        delta[static_cast<size_t>(to)].bytes_received += bytes;
+        delta[static_cast<size_t>(to)].messages_received += 1;
       }
-      const int next_groups = (p + fanout - 1) / fanout;
-      std::vector<int> next(static_cast<size_t>(next_groups));
-      for (int g = 0; g < next_groups; g++) {
-        next[static_cast<size_t>(g)] = owners[static_cast<size_t>(g * fanout)];
-      }
-      owners = std::move(next);
-    }
-    for (int g = 0; g < static_cast<int>(owners.size()); g++) {
-      meter(owners[static_cast<size_t>(g)], kAggregatorNode, agg_bytes);
     }
     if (net_->MeterSelfDelivered(delta)) {
       return PackedContributionSums(*solo_plane_)[0];
     }
-    return GatherTreeLiteral();
+    return GatherTreeLiteral(levels, nodes);
   }
 
-  // Literal tree gather, with leaf states read out of the arena. Fallback path only (observer or a
-  // real wire), so per-vertex circuit evaluation is fine here.
-  uint64_t GatherTreeLiteral() {
-    const int n = graph_.num_vertices();
-    const int fanout = config_.aggregation_fanout;
-    const int num_groups = (n + fanout - 1) / fanout;
+  // Literal tree gather, with leaf states read out of the arena: level by
+  // level every child's node sends its payload to its group's node, and the
+  // groups sum on the pool. Fallback path only (observer or a real wire),
+  // so per-vertex circuit evaluation is fine here.
+  uint64_t GatherTreeLiteral(const std::vector<core::AggregationLevel>& levels,
+                             const std::vector<std::vector<int>>& nodes) {
     const size_t agg_bits = static_cast<size_t>(program_.aggregate_bits);
-
-    for (int v = 0; v < n; v++) {
-      net_->Send(v, (v / fanout) * fanout, mpc::PackBits(solo_plane_->VertexState(v, 0)),
-                 kGatherSession | static_cast<uint64_t>(v));
-    }
-    std::vector<uint64_t> partials(static_cast<size_t>(num_groups), 0);
-    std::vector<int> owners(static_cast<size_t>(num_groups), 0);
-    pool_->RunGrouped(static_cast<size_t>(num_groups), 1, [&](size_t gg, size_t) {
-      int g = static_cast<int>(gg);
-      int lo = g * fanout;
-      int hi = std::min(n, lo + fanout);
-      uint64_t sum = 0;
-      for (int v = lo; v < hi; v++) {
-        Bytes raw = net_->Recv(lo, v, kGatherSession | static_cast<uint64_t>(v));
-        const mpc::BitVector contribution = contribution_circuit_.Eval(
-            mpc::UnpackBits(raw, static_cast<size_t>(program_.state_bits)));
-        sum += mpc::BitsToWord(contribution, 0, program_.aggregate_bits);
+    std::vector<uint64_t> partials;  // the previous level's group sums
+    for (size_t l = 0; l < levels.size(); l++) {
+      const core::AggregationLevel& level = levels[l];
+      const net::SessionId session =
+          l == 0 ? kGatherSession : kCombineSession | (static_cast<uint64_t>(l) << 32);
+      auto from = [&](int c) { return l == 0 ? c : nodes[l - 1][static_cast<size_t>(c)]; };
+      for (int c = 0; c < level.children; c++) {
+        Bytes payload = l == 0 ? mpc::PackBits(solo_plane_->VertexState(c, 0))
+                               : mpc::PackBits(mpc::WordToBits(partials[static_cast<size_t>(c)],
+                                                               program_.aggregate_bits));
+        net_->Send(from(c), nodes[l][static_cast<size_t>(c / level.group_width)],
+                   std::move(payload), session | static_cast<uint64_t>(c));
       }
-      partials[gg] = sum;
-      owners[gg] = lo;
-    });
-
-    uint64_t level = 1;
-    while (static_cast<int>(partials.size()) > fanout) {
-      int p = static_cast<int>(partials.size());
-      int next_groups = (p + fanout - 1) / fanout;
-      for (int g = 0; g < p; g++) {
-        net_->Send(owners[static_cast<size_t>(g)],
-                   owners[static_cast<size_t>((g / fanout) * fanout)],
-                   mpc::PackBits(mpc::WordToBits(partials[static_cast<size_t>(g)],
-                                                 program_.aggregate_bits)),
-                   kCombineSession | (level << 32) | static_cast<uint64_t>(g));
-      }
-      std::vector<uint64_t> next_partials(static_cast<size_t>(next_groups), 0);
-      std::vector<int> next_owners(static_cast<size_t>(next_groups), 0);
-      pool_->RunGrouped(static_cast<size_t>(next_groups), 1, [&](size_t gg, size_t) {
-        int g = static_cast<int>(gg);
-        int lo = g * fanout;
-        int hi = std::min(p, lo + fanout);
+      std::vector<uint64_t> sums(static_cast<size_t>(level.groups()), 0);
+      pool_->RunGrouped(sums.size(), 1, [&](size_t g, size_t) {
+        const int to = nodes[l][g];
         uint64_t sum = 0;
-        for (int child = lo; child < hi; child++) {
-          Bytes raw = net_->Recv(owners[static_cast<size_t>(lo)],
-                                 owners[static_cast<size_t>(child)],
-                                 kCombineSession | (level << 32) | static_cast<uint64_t>(child));
-          sum += mpc::BitsToWord(mpc::UnpackBits(raw, agg_bits), 0, program_.aggregate_bits);
+        for (int c = level.GroupBegin(static_cast<int>(g)); c < level.GroupEnd(static_cast<int>(g));
+             c++) {
+          Bytes raw = net_->Recv(to, from(c), session | static_cast<uint64_t>(c));
+          const mpc::BitVector word =
+              l == 0 ? contribution_circuit_.Eval(
+                           mpc::UnpackBits(raw, static_cast<size_t>(program_.state_bits)))
+                     : mpc::UnpackBits(raw, agg_bits);
+          sum += mpc::BitsToWord(word, 0, program_.aggregate_bits);
         }
-        next_partials[gg] = sum;
-        next_owners[gg] = owners[static_cast<size_t>(lo)];
+        sums[g] = sum;
       });
-      partials = std::move(next_partials);
-      owners = std::move(next_owners);
-      level++;
+      partials = std::move(sums);
     }
-
-    int p = static_cast<int>(partials.size());
-    for (int g = 0; g < p; g++) {
-      net_->Send(owners[static_cast<size_t>(g)], kAggregatorNode,
-                 mpc::PackBits(mpc::WordToBits(partials[static_cast<size_t>(g)],
-                                                 program_.aggregate_bits)),
-                 kCombineSession | (level << 32) | static_cast<uint64_t>(g));
-    }
-    uint64_t sum = 0;
-    for (int g = 0; g < p; g++) {
-      Bytes raw = net_->Recv(kAggregatorNode, owners[static_cast<size_t>(g)],
-                             kCombineSession | (level << 32) | static_cast<uint64_t>(g));
-      sum += mpc::BitsToWord(mpc::UnpackBits(raw, agg_bits), 0, program_.aggregate_bits);
-    }
-    return sum;
+    return partials[0];
   }
 
   const graph::Graph& graph_;

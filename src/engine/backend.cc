@@ -14,8 +14,7 @@ std::unique_ptr<ExecutionBackend> MakeExecutionBackend(ExecutionMode mode,
     case ExecutionMode::kCleartextFast:
       return MakeArenaCleartextBackend(context);
   }
-  DSTRESS_CHECK(false);
-  return nullptr;
+  ::dstress::CheckFailed("unknown ExecutionMode", __FILE__, __LINE__);
 }
 
 }  // namespace dstress::engine

@@ -14,8 +14,7 @@ const char* ExecutionModeName(ExecutionMode mode) {
     case ExecutionMode::kCleartextFast:
       return "cleartext";
   }
-  DSTRESS_CHECK(false);
-  return "?";
+  ::dstress::CheckFailed("unknown ExecutionMode", __FILE__, __LINE__);
 }
 
 std::optional<ExecutionMode> ExecutionModeFromName(const std::string& name) {
@@ -84,7 +83,7 @@ graph::Graph BuildUncapped(const TopologySpec& topology, Rng& rng) {
       return g.Build();
     }
   }
-  DSTRESS_CHECK(false);
+  ::dstress::CheckFailed("unknown TopologySpec::Kind", __FILE__, __LINE__);
 }
 
 }  // namespace

@@ -74,22 +74,4 @@ void PackedShareMatrix::SetLaneGroup(size_t r, size_t first, int count, uint64_t
   }
 }
 
-PackedShareMatrix PackedShareMatrix::FromInstances(const std::vector<BitVector>& instances) {
-  DSTRESS_CHECK(!instances.empty());
-  PackedShareMatrix m(instances[0].size(), instances.size());
-  for (size_t j = 0; j < instances.size(); j++) {
-    m.SetInstance(j, instances[j]);
-  }
-  return m;
-}
-
-std::vector<BitVector> PackedShareMatrix::ToInstances() const {
-  std::vector<BitVector> out;
-  out.reserve(instances_);
-  for (size_t j = 0; j < instances_; j++) {
-    out.push_back(Instance(j));
-  }
-  return out;
-}
-
 }  // namespace dstress::mpc

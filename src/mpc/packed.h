@@ -78,11 +78,6 @@ class PackedShareMatrix {
   uint64_t GetLaneGroup(size_t r, size_t first, int count) const;
   void SetLaneGroup(size_t r, size_t first, int count, uint64_t bits);
 
-  // Packs W same-length BitVectors (instances) into a matrix; instances[j]
-  // becomes column j.
-  static PackedShareMatrix FromInstances(const std::vector<BitVector>& instances);
-  std::vector<BitVector> ToInstances() const;
-
  private:
   size_t rows_ = 0;
   size_t instances_ = 0;

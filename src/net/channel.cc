@@ -37,8 +37,7 @@ int Channel::PeerIndex(NodeId peer) const {
       return static_cast<int>(i);
     }
   }
-  DSTRESS_CHECK(false);  // not in the peer set
-  return -1;
+  ::dstress::CheckFailed("node not in the peer set", __FILE__, __LINE__);
 }
 
 void Channel::Send(NodeId to, Bytes message) {

@@ -44,8 +44,7 @@ void ChannelDemuxTransport::AbortDeadPeer(NodeId to, NodeId from, SessionId sess
                "message to deliver: %s\n",
                to, from, static_cast<unsigned long long>(session),
                reason.empty() ? "peer declared dead" : reason.c_str());
-  DSTRESS_CHECK(false);
-  std::abort();  // DSTRESS_CHECK(false) never returns; this placates [[noreturn]]
+  ::dstress::CheckFailed("Recv woke on a dead peer", __FILE__, __LINE__);
 }
 
 void ChannelDemuxTransport::SetObserver(NetworkObserver* observer) {

@@ -439,16 +439,21 @@ void TcpNetwork::MonitorLoop() {
     for (NodeId node = 0; node < num_nodes_; node++) {
       Link& link = *links_[node];
       if (!link.down.load(std::memory_order_acquire) || link.respawned) continue;
-      link.respawned = true;
       pid_t pid = link.pid.load(std::memory_order_relaxed);
       if (pid <= 0 || spec_.node_program.empty()) {
+        link.respawned = true;
         std::fprintf(stderr, "tcp ha: cannot auto-respawn bank %d (%s); waiting for an"
                      " external `dstress_node --resume`\n", node,
                      pid <= 0 ? "externally started bank" : "fork-mode bank, no node_program");
         continue;
       }
+      // A live process behind a dropped link re-dials on its own
+      // (ReconnectDriver); only an exited bank needs a replacement. A
+      // blocking wait on a live bank would stall this loop, and with it the
+      // destructor, which joins this thread before it EOFs the banks.
       int status = 0;
-      waitpid(pid, &status, 0);
+      if (waitpid(pid, &status, WNOHANG) == 0) continue;
+      link.respawned = true;
       pid_t fresh = SpawnNodeProcess(node, /*resume=*/true);
       link.pid.store(fresh, std::memory_order_relaxed);
       std::fprintf(stderr, "tcp ha: respawned bank %d with --resume (pid %d)\n", node,

@@ -125,7 +125,9 @@ class TcpNetwork : public ChannelDemuxTransport, public FaultInjectable {
     std::thread reader;
     // HA: the reader saw EOF mid-run and the link awaits a session resume.
     std::atomic<bool> down{false};
-    bool respawned = false;  // monitor thread only
+    // Set by the monitor thread once it has respawned (or given up on) the
+    // bank; a session resume clears it from the acceptor thread.
+    std::atomic<bool> respawned{false};
   };
 
   void SpawnNodes(const TransportSpec& spec, int listen_fd, int rendezvous_port);

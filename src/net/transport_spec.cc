@@ -39,8 +39,7 @@ std::unique_ptr<Transport> MakeBuiltin(const TransportSpec& spec, int num_nodes)
   if (spec.backend == "tcp") {
     return std::make_unique<TcpNetwork>(num_nodes, spec);
   }
-  DSTRESS_CHECK(false);  // unknown transport backend
-  return nullptr;
+  ::dstress::CheckFailed("unknown transport backend", __FILE__, __LINE__);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/vertex_program.h"
 #include "src/finance/eisenberg_noe.h"
 #include "src/finance/elliott_golub_jackson.h"
@@ -171,6 +173,81 @@ TEST(RuntimeTest, DeepAggregationTreeMatchesSingleLevel) {
   Runtime a(flat, g, program);
   Runtime b(deep, g, program);
   EXPECT_EQ(a.Run(states, nullptr), b.Run(states, nullptr));
+}
+
+TEST(AggregationShapeTest, FlatIsOneRootLevel) {
+  std::vector<AggregationLevel> levels = AggregationShape(7, 0);
+  ASSERT_EQ(levels.size(), 1u);
+  EXPECT_EQ(levels[0].children, 7);
+  EXPECT_EQ(levels[0].groups(), 1);
+  EXPECT_EQ(levels[0].GroupEnd(0), 7);
+}
+
+TEST(AggregationShapeTest, TreeLevelsShrinkToOneRoot) {
+  // N = 11, fanout 2: 6 leaves -> 3 -> 2 -> root.
+  std::vector<AggregationLevel> levels = AggregationShape(11, 2);
+  ASSERT_EQ(levels.size(), 4u);
+  const int children[] = {11, 6, 3, 2};
+  const int groups[] = {6, 3, 2, 1};
+  for (size_t l = 0; l < levels.size(); l++) {
+    EXPECT_EQ(levels[l].children, children[l]) << "level " << l;
+    EXPECT_EQ(levels[l].groups(), groups[l]) << "level " << l;
+  }
+  EXPECT_EQ(levels[0].GroupBegin(5), 10);
+  EXPECT_EQ(levels[0].GroupEnd(5), 11);  // the short last group
+  // A tree over at most `fanout` vertices is one leaf group under the root.
+  levels = AggregationShape(3, 4);
+  ASSERT_EQ(levels.size(), 2u);
+  EXPECT_EQ(levels[0].groups(), 1);
+  EXPECT_EQ(levels[1].children, 1);
+}
+
+// The AND gates the aggregation shape implies: every group's circuit (an
+// aggregate circuit over vertices at the first level, a combine circuit
+// over partials after it, noise at the root only).
+size_t ShapeAndGates(const VertexProgram& program, int n, int fanout) {
+  const std::vector<AggregationLevel> levels = AggregationShape(n, fanout);
+  size_t total = 0;
+  for (size_t l = 0; l < levels.size(); l++) {
+    const bool root = l + 1 == levels.size();
+    for (int g = 0; g < levels[l].groups(); g++) {
+      const int size = levels[l].GroupEnd(g) - levels[l].GroupBegin(g);
+      total += (l == 0 ? BuildAggregateCircuit(program, size, root)
+                       : BuildCombineCircuit(program, size, root))
+                   .stats()
+                   .num_and;
+    }
+  }
+  return total;
+}
+
+// Every Beaver triple of a dealer run is accounted for: each of the k+1
+// members draws update_and_gates per vertex per computation step and
+// num_and per aggregation group, and aggregate_and_gates counts every
+// level of a tree, not only its root.
+TEST(RuntimeTest, TriplesMatchCircuitAndGates) {
+  constexpr int kN = 11;
+  graph::Graph g = Ring(kN);
+  VertexProgram program = MakeSumProgram(1, 2, 1e-12);
+  std::vector<uint64_t> words;
+  for (int v = 0; v < kN; v++) {
+    words.push_back(5 + v);
+  }
+  mpc::PackedShareMatrix states = WordStates(words);
+  for (int fanout : {0, 2, 3}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    RuntimeConfig config;
+    config.block_size = 3;
+    config.seed = 5;
+    config.aggregation_fanout = fanout;
+    Runtime runtime(config, g, program);
+    RunMetrics m;
+    runtime.Run(states, &m);
+    EXPECT_EQ(m.aggregate_and_gates, ShapeAndGates(program, kN, fanout));
+    EXPECT_EQ(m.triples_consumed,
+              static_cast<uint64_t>(config.block_size) *
+                  (m.update_and_gates * kN * (program.iterations + 1) + m.aggregate_and_gates));
+  }
 }
 
 TEST(RuntimeTest, OtTriplesMatchDealerTriples) {

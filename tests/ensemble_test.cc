@@ -305,17 +305,19 @@ TEST(EnsembleSecureTest, SixtyFourDrawsMatchSolo) {
 }
 
 // Whole-ensemble trace of the secure plane: per-lane figures and
-// references, per-node TrafficStats, total bytes and Beaver triples. The
-// digests were recorded before the solo and ensemble run loops were merged
-// into one lane loop, and pin that merge for widths the solo-equality
-// tests above do not cover traffic-wise: dealer triples at W = 3, and the
-// node-pair OT triple factory at W = 2.
+// references, per-node TrafficStats, total bytes and Beaver triples, for
+// widths the solo-equality tests above do not cover traffic-wise: dealer
+// triples at W = 3, and the node-pair OT triple factory at W = 2. The
+// figures and triple counts date from before the solo and ensemble run
+// loops were merged; the traffic was re-recorded when the lanes' openings
+// took the solo GmwParty::Open payload (8 bytes per 32-bit figure instead
+// of 4), which adds W x 2 members x 1 peer x 4 B to total_bytes.
 const golden::GoldenDigest kSecureEnsembleGolden[] = {
     {"secure dealer W=3", "484f09a4e1a378ad321e45c6a38ae6c000e7ade8bf745dd08c18bcfad0cbd663",
-     nullptr, "52e6872cb768e02ef8cfa8db11538d8212f31c1c46b2f15daf2df8cc6a5d5a59", 1891356,
+     nullptr, "d05556963d54ded01de37db4f8dee086d66c9286e3ee8b9000f50652bfbaaac7", 1891380,
      501012},
     {"secure ot factory W=2", "baf2e8af1d8fd564a4aa09a0ddd09ba9b2e3f60f6f47870189cb0d8328b31529",
-     nullptr, "2a1f4879594472cfeab3a084f37c02ad3fae10595e9e507311ce173e2a88c8ea", 3458056,
+     nullptr, "9fdc9c6bde780068aa8ad7dca908fdedbe54e12ce02238fb2d2458396fe43f8a", 3458072,
      171388},
 };
 
@@ -335,6 +337,46 @@ RunSpec WithExplicitScenarios(RunSpec spec, const std::vector<std::vector<int>>&
     spec.ensemble->scenarios.push_back(sc);
   }
   return spec;
+}
+
+// An S-lane run is the composition of its S solo runs: with dealer
+// triples every node sends and receives exactly the bytes and messages of
+// the three solo runs together, aggregation and its opening included, and
+// every Beaver triple is accounted for by the circuits' AND gates.
+TEST(EnsembleSecureTest, WidthThreeTrafficIsSumOfSoloRuns) {
+  const RunSpec spec = WithExplicitScenarios(SecureBase(8, 2), {{0}, {1, 2}, {3}});
+  Engine ens(spec);
+  EnsembleReport report = ens.RunEnsemble();
+  const int n = spec.topology.num_vertices;
+  const int lanes = static_cast<int>(report.scenarios.size());
+  ASSERT_EQ(lanes, 3);
+  std::vector<net::TrafficStats> solo_sum(static_cast<size_t>(n));
+  uint64_t solo_bytes = 0;
+  for (const Scenario& sc : MaterializeScenarios(*spec.ensemble, spec.shock, n)) {
+    Engine solo(SoloSpecFor(spec, sc));
+    solo_bytes += solo.Run().metrics.total_bytes;
+    ASSERT_EQ(solo.transport().num_nodes(), n);
+    for (int v = 0; v < n; v++) {
+      net::TrafficStats s = solo.transport().NodeStats(v);
+      solo_sum[static_cast<size_t>(v)].bytes_sent += s.bytes_sent;
+      solo_sum[static_cast<size_t>(v)].bytes_received += s.bytes_received;
+      solo_sum[static_cast<size_t>(v)].messages_sent += s.messages_sent;
+      solo_sum[static_cast<size_t>(v)].messages_received += s.messages_received;
+    }
+  }
+  EXPECT_EQ(report.metrics.total_bytes, solo_bytes);
+  for (int v = 0; v < n; v++) {
+    net::TrafficStats got = ens.transport().NodeStats(v);
+    const net::TrafficStats& want = solo_sum[static_cast<size_t>(v)];
+    EXPECT_EQ(got.bytes_sent, want.bytes_sent) << "node " << v;
+    EXPECT_EQ(got.bytes_received, want.bytes_received) << "node " << v;
+    EXPECT_EQ(got.messages_sent, want.messages_sent) << "node " << v;
+    EXPECT_EQ(got.messages_received, want.messages_received) << "node " << v;
+  }
+  const core::RunMetrics& m = report.metrics;
+  EXPECT_EQ(m.triples_consumed,
+            static_cast<uint64_t>(spec.block_size) *
+                (m.update_and_gates * n * lanes * (m.iterations + 1) + m.aggregate_and_gates));
 }
 
 TEST(EnsembleSecureGoldenTest, DealerWidthThree) {

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -180,12 +181,28 @@ const golden::GoldenDigest kGolden[] = {
      "a938bb8a665d23ac25e52ff099922da3c3aa48b7e831158e426fc0e41210f981", 120832, 0},
 };
 
-// Runs `spec` and checks its digest against the row named `label`; a
-// mismatch names the case and every differing field.
-void ExpectMatchesGolden(const RunSpec& spec, const std::string& label) {
+// Counts messages and nothing else. Attaching any observer makes the
+// transport refuse bulk metering, so a run takes its literal per-message
+// send/receive paths.
+class CountingObserver : public net::NetworkObserver {
+ public:
+  void OnSend(net::NodeId, net::NodeId, net::SessionId, const Bytes&) override { sends++; }
+  void OnRecv(net::NodeId, net::NodeId, net::SessionId, const Bytes&) override { recvs++; }
+  std::atomic<uint64_t> sends{0};
+  std::atomic<uint64_t> recvs{0};
+};
+
+// Runs `spec` (with `observer` attached, if any) and checks its digest
+// against the row named `label`; a mismatch names the case and every
+// differing field.
+void ExpectMatchesGolden(const RunSpec& spec, const std::string& label,
+                         net::NetworkObserver* observer = nullptr) {
   const golden::GoldenDigest* want = golden::Find(kGolden, label);
   ASSERT_NE(want, nullptr) << "no golden digest for " << label;
   Engine engine(spec);
+  if (observer != nullptr) {
+    engine.AttachObserver(observer);
+  }
   RunReport report = engine.Run();
   EXPECT_EQ(golden::Mismatch(golden::DigestRun(engine, report), *want), "");
 }
@@ -240,16 +257,26 @@ TEST(GraphPlaneGoldenTest, ThousandVertexSweep) {
 }
 
 // Tree aggregation (aggregation_fanout > 1) exercises the backend's
-// gather-tree traffic simulation, recorded from the literal tree.
+// gather-tree traffic simulation, recorded from the literal tree, and —
+// with an observer attached — the literal tree gather itself.
 TEST(GraphPlaneGoldenTest, TreeAggregation) {
-  for (int fanout : {2, 4, 8}) {
-    RunSpec spec = FinanceSpec(ContagionModel::kEisenbergNoe, 64, 9);
-    spec.aggregation_fanout = fanout;
-    ExpectMatchesGolden(spec, "en n=64 seed=9 fanout=" + std::to_string(fanout));
+  for (bool observed : {false, true}) {
+    SCOPED_TRACE(observed ? "literal (observed)" : "bulk-metered");
+    CountingObserver observer;
+    net::NetworkObserver* attach = observed ? &observer : nullptr;
+    for (int fanout : {2, 4, 8}) {
+      RunSpec spec = FinanceSpec(ContagionModel::kEisenbergNoe, 64, 9);
+      spec.aggregation_fanout = fanout;
+      ExpectMatchesGolden(spec, "en n=64 seed=9 fanout=" + std::to_string(fanout), attach);
+    }
+    RunSpec odd = FinanceSpec(ContagionModel::kElliottGolubJackson, 7, 5);
+    odd.aggregation_fanout = 3;
+    ExpectMatchesGolden(odd, "egj n=7 seed=5 fanout=3", attach);
+    if (observed) {
+      EXPECT_GT(observer.sends.load(), 0u);
+      EXPECT_EQ(observer.sends.load(), observer.recvs.load());
+    }
   }
-  RunSpec odd = FinanceSpec(ContagionModel::kElliottGolubJackson, 7, 5);
-  odd.aggregation_fanout = 3;
-  ExpectMatchesGolden(odd, "egj n=7 seed=5 fanout=3");
 }
 
 TEST(GraphPlaneGoldenTest, CustomPrograms) {

@@ -22,6 +22,7 @@
 #include "src/mpc/sharing.h"
 #include "src/mpc/triples.h"
 #include "src/net/transport_spec.h"
+#include "tests/lane_util.h"
 
 namespace dstress::mpc {
 namespace {
@@ -82,11 +83,11 @@ std::vector<BitVector> RandomInstances(uint64_t seed, size_t bits, size_t count)
 
 TEST(PackedShareMatrixTest, RoundTripsInstances) {
   auto instances = RandomInstances(7, 133, 70);
-  PackedShareMatrix m = PackedShareMatrix::FromInstances(instances);
+  PackedShareMatrix m = lanes::FromInstances(instances);
   EXPECT_EQ(m.rows(), 133u);
   EXPECT_EQ(m.instances(), 70u);
   EXPECT_EQ(m.words_per_row(), 2u);
-  EXPECT_EQ(m.ToInstances(), instances);
+  EXPECT_EQ(lanes::ToInstances(m), instances);
   // Column writes land in the right lanes.
   PackedShareMatrix n(133, 70);
   for (size_t j = 0; j < instances.size(); j++) {
@@ -106,7 +107,7 @@ TEST(PackedShareMatrixTest, SetColumnWordOverwritesOnlyItsBits) {
   constexpr size_t kCols = 70;
   Rng rng(12);
   std::vector<BitVector> model = RandomInstances(13, kRows, kCols);
-  PackedShareMatrix m = PackedShareMatrix::FromInstances(model);
+  PackedShareMatrix m = lanes::FromInstances(model);
   for (int width = 1; width <= 64; width++) {
     const size_t w = static_cast<size_t>(width);
     for (size_t first_row : {size_t{0}, 64 - (w + 1) / 2, kRows - w}) {
