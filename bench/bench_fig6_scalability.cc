@@ -53,7 +53,7 @@
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/core/runtime.h"
-#include "src/costmodel/cost_model.h"
+#include "oracle/cost_model.h"
 #include "src/engine/engine.h"
 
 // Global allocation accounting for the steady-state assertion below: the

@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/baseline/naive_mpc.h"
+#include "oracle/naive_mpc.h"
 
 namespace dstress::bench {
 namespace {
@@ -30,11 +30,11 @@ void Run() {
   double last_seconds = 0;
   int last_n = 0;
   for (int n : sizes) {
-    baseline::NaiveMpcParams params;
+    oracle::NaiveMpcParams params;
     params.matrix_n = n;
     params.value_bits = 12;
     params.parties = 3;  // delegated-MPC variant (Sharemind-style party count)
-    baseline::NaiveMpcResult result = baseline::RunNaiveMatMul(params);
+    oracle::NaiveMpcResult result = oracle::RunNaiveMatMul(params);
     std::printf("%6d %12zu %12.2f %14.2f %10s\n", n, result.and_gates, result.seconds,
                 result.total_bytes / 1e6, result.verified ? "yes" : "NO");
     std::fflush(stdout);
@@ -44,7 +44,7 @@ void Run() {
 
   // Extrapolate the full U.S. banking system: N = 1750, I - 1 = 11 chained
   // multiplications (paper: (1750/25)^3 * 40 min * 11 ~ 287 years).
-  double full_seconds = baseline::ExtrapolateMatrixPowerSeconds(last_seconds, last_n, 1750, 12);
+  double full_seconds = oracle::ExtrapolateMatrixPowerSeconds(last_seconds, last_n, 1750, 12);
   double years = full_seconds / (365.25 * 24 * 3600);
   double days = full_seconds / (24 * 3600);
   if (years >= 1) {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "oracle/ot_triple_source.h"
 #include "src/circuit/circuit.h"
 #include "src/common/stopwatch.h"
 #include "src/finance/eisenberg_noe.h"
@@ -55,7 +56,7 @@ inline BlockMpcResult RunBlockMpc(const circuit::Circuit& circuit, int block_siz
   std::vector<std::unique_ptr<mpc::TripleSource>> sources(block_size);
   for (int p = 0; p < block_size; p++) {
     if (use_ot) {
-      sources[p] = std::make_unique<mpc::OtTripleSource>(
+      sources[p] = std::make_unique<oracle::OtTripleSource>(
           &net, ids, p, crypto::ChaCha20Prg::FromSeed(seed + 1000 + p));
     } else {
       sources[p] = std::make_unique<mpc::DealerTripleSource>(p, block_size, seed);

@@ -1,4 +1,4 @@
-#include "src/costmodel/cost_model.h"
+#include "oracle/cost_model.h"
 
 #include <algorithm>
 #include <cstdio>

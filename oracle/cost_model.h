@@ -10,9 +10,10 @@
 // cost), and Project() combines them with exact circuit AND-counts and
 // exact wire formats into per-node time and traffic as functions of N
 // and D. Validation against real end-to-end runs is done by the Figure 6
-// bench.
-#ifndef SRC_COSTMODEL_COST_MODEL_H_
-#define SRC_COSTMODEL_COST_MODEL_H_
+// bench. A bench/test-only model: bench_fig6 and costmodel_test link it
+// through the dstress_oracle target.
+#ifndef ORACLE_COST_MODEL_H_
+#define ORACLE_COST_MODEL_H_
 
 #include <cstdint>
 #include <string>
@@ -129,4 +130,4 @@ Projection ProjectWan(const MicroCosts& costs, const ProjectionParams& params,
 
 }  // namespace dstress::costmodel
 
-#endif  // SRC_COSTMODEL_COST_MODEL_H_
+#endif  // ORACLE_COST_MODEL_H_

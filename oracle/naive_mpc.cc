@@ -1,8 +1,9 @@
-#include "src/baseline/naive_mpc.h"
+#include "oracle/naive_mpc.h"
 
 #include <thread>
 #include <vector>
 
+#include "oracle/ot_triple_source.h"
 #include "src/circuit/builder.h"
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
@@ -11,7 +12,7 @@
 #include "src/mpc/triples.h"
 #include "src/net/transport_spec.h"
 
-namespace dstress::baseline {
+namespace dstress::oracle {
 
 circuit::Circuit BuildMatMulCircuit(int matrix_n, int value_bits) {
   DSTRESS_CHECK(matrix_n >= 1);
@@ -67,7 +68,7 @@ NaiveMpcResult RunNaiveMatMul(const NaiveMpcParams& params) {
       }
       std::unique_ptr<mpc::TripleSource> triples;
       if (params.use_ot_triples) {
-        triples = std::make_unique<mpc::OtTripleSource>(
+        triples = std::make_unique<OtTripleSource>(
             &net, ids, p, crypto::ChaCha20Prg::FromSeed(params.seed + 100 + p));
       } else {
         triples = std::make_unique<mpc::DealerTripleSource>(p, params.parties, params.seed);
@@ -92,4 +93,4 @@ double ExtrapolateMatrixPowerSeconds(double measured_seconds, int measured_n, in
   return measured_seconds * ratio * ratio * ratio * (power - 1);
 }
 
-}  // namespace dstress::baseline
+}  // namespace dstress::oracle

@@ -8,15 +8,16 @@
 // N ≤ 25 (out of memory beyond that) and extrapolates O(N^3):
 // (1750/25)^3 * 40 min * 11 ≈ 287 years. This module reproduces that
 // methodology: build the circuit, run it in our GMW engine for small N,
-// extrapolate to the full banking system.
-#ifndef SRC_BASELINE_NAIVE_MPC_H_
-#define SRC_BASELINE_NAIVE_MPC_H_
+// extrapolate to the full banking system. A bench/test reference: only
+// bench_naive_mpc and baseline_test run it.
+#ifndef ORACLE_NAIVE_MPC_H_
+#define ORACLE_NAIVE_MPC_H_
 
 #include <cstdint>
 
 #include "src/circuit/circuit.h"
 
-namespace dstress::baseline {
+namespace dstress::oracle {
 
 struct NaiveMpcParams {
   int matrix_n = 10;      // matrix dimension
@@ -47,6 +48,6 @@ NaiveMpcResult RunNaiveMatMul(const NaiveMpcParams& params);
 double ExtrapolateMatrixPowerSeconds(double measured_seconds, int measured_n, int target_n,
                                      int power);
 
-}  // namespace dstress::baseline
+}  // namespace dstress::oracle
 
-#endif  // SRC_BASELINE_NAIVE_MPC_H_
+#endif  // ORACLE_NAIVE_MPC_H_

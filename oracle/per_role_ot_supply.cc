@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "oracle/ot_triple_source.h"
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/core/worker_pool.h"
@@ -40,7 +41,7 @@ class Role : public mpc::TripleSource {
     waves_.push_back(std::move(wave));
   }
 
-  std::unique_ptr<mpc::OtTripleSource> source;
+  std::unique_ptr<OtTripleSource> source;
 
  private:
   std::mutex mu_;
@@ -107,7 +108,7 @@ class PerRoleOtSupply : public mpc::TripleSupply {
       role = std::make_unique<Role>();
     }
     if (role->source == nullptr && !parties.empty()) {
-      role->source = std::make_unique<mpc::OtTripleSource>(
+      role->source = std::make_unique<OtTripleSource>(
           net_, parties, member,
           crypto::ChaCha20Prg::FromSeed(prg_seed_, (tag << 8) | static_cast<uint64_t>(member)),
           mpc::kOfflineSessionNamespace | tag);

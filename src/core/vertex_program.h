@@ -67,14 +67,18 @@ circuit::Circuit BuildUpdateCircuit(const VertexProgram& program);
 // Builds an aggregation circuit summing `group_size` states' contributions;
 // if `with_noise` is set, appends the geometric noise sampler (whose random
 // bits become extra inputs, supplied by the aggregation-block members) and
-// adds it to the sum. Output: one aggregate_bits-wide word.
+// adds it to the sum. Output: one aggregate_bits-wide word. If
+// `ands_after_child` is set, the builder's AND count after each child's add
+// is appended to it.
 circuit::Circuit BuildAggregateCircuit(const VertexProgram& program, int group_size,
-                                       bool with_noise);
+                                       bool with_noise,
+                                       std::vector<size_t>* ands_after_child = nullptr);
 
 // Builds the combine circuit for the root of an aggregation tree: sums
 // `num_partials` aggregate_bits-wide partial sums and adds noise.
 circuit::Circuit BuildCombineCircuit(const VertexProgram& program, int num_partials,
-                                     bool with_noise);
+                                     bool with_noise,
+                                     std::vector<size_t>* ands_after_child = nullptr);
 
 // One level of the §3.6 aggregation schedule: its `children` (the vertices
 // at the first level, the previous level's partial sums after it) are cut
@@ -94,6 +98,16 @@ struct AggregationLevel {
 // groups, combine levels while more than `fanout` partials remain, then the
 // root. The last level is always the root, one group over all its children.
 std::vector<AggregationLevel> AggregationShape(int num_vertices, int fanout);
+
+// The AND gates of one aggregation over AggregationShape(num_vertices,
+// fanout): the sum over every group of its circuit's ANDs
+// (BuildAggregateCircuit at the first level, BuildCombineCircuit above it,
+// noise at the root). Each level builds one circuit, of at most
+// aggregate_bits + 4 children, and reads every group's count off the ANDs
+// after each child; past that size every further child adds the same ANDs
+// (its contribution plus a full-width adder), so a larger group, such as the
+// flat root over all N vertices, is extrapolated instead of built.
+size_t AggregationAndGates(const VertexProgram& program, int num_vertices, int fanout);
 
 }  // namespace dstress::core
 

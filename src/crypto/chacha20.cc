@@ -1,5 +1,6 @@
 #include "src/crypto/chacha20.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -9,22 +10,25 @@ namespace dstress::crypto {
 
 namespace {
 
-uint32_t Rotl32(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
+// One state word across the kernel's lanes. GCC and Clang lower the
+// element-wise operators to SSE2 on x86-64 (its baseline ISA) and to
+// NEON or scalar code elsewhere.
+typedef uint32_t U32x4 __attribute__((vector_size(4 * kChaCha20Lanes)));
 
-void QuarterRound(uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d) {
+inline U32x4 Rotl(U32x4 x, int n) { return (x << n) | (x >> (32 - n)); }
+
+inline void QuarterRound(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
   a += b;
-  d ^= a;
-  d = Rotl32(d, 16);
+  d = Rotl(d ^ a, 16);
   c += d;
-  b ^= c;
-  b = Rotl32(b, 12);
+  b = Rotl(b ^ c, 12);
   a += b;
-  d ^= a;
-  d = Rotl32(d, 8);
+  d = Rotl(d ^ a, 8);
   c += d;
-  b ^= c;
-  b = Rotl32(b, 7);
+  b = Rotl(b ^ c, 7);
 }
+
+constexpr uint32_t kSigma[4] = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
 
 uint32_t LoadLe32(const uint8_t* p) {
   uint32_t v;
@@ -32,25 +36,34 @@ uint32_t LoadLe32(const uint8_t* p) {
   return v;
 }
 
+// Writes lanes [0, lanes) of `x` to `out` as consecutive 64-byte blocks.
+void StoreBlocks(const ChaCha20Lanes& x, int lanes, uint8_t* out) {
+  for (int l = 0; l < lanes; l++) {
+    for (int i = 0; i < 16; i++) {
+      std::memcpy(out + 64 * l + 4 * i, &x.words[i][l], 4);
+    }
+  }
+}
+
 }  // namespace
 
-void ChaCha20Block(const uint8_t key[32], const uint8_t nonce[12], uint32_t counter,
-                   uint8_t out[64]) {
-  uint32_t state[16];
-  state[0] = 0x61707865;
-  state[1] = 0x3320646e;
-  state[2] = 0x79622d32;
-  state[3] = 0x6b206574;
-  for (int i = 0; i < 8; i++) {
-    state[4 + i] = LoadLe32(key + 4 * i);
+ChaCha20Lanes ChaCha20InputLanes() {
+  ChaCha20Lanes lanes{};
+  for (int i = 0; i < 4; i++) {
+    for (int l = 0; l < kChaCha20Lanes; l++) {
+      lanes.words[i][l] = kSigma[i];
+    }
   }
-  state[12] = counter;
-  for (int i = 0; i < 3; i++) {
-    state[13 + i] = LoadLe32(nonce + 4 * i);
-  }
+  return lanes;
+}
 
-  uint32_t x[16];
-  std::memcpy(x, state, sizeof(x));
+void ChaCha20BlockLanes(const ChaCha20Lanes& in, ChaCha20Lanes* out) {
+  U32x4 s[16];
+  std::memcpy(s, in.words, sizeof(s));
+  U32x4 x[16];
+  for (int i = 0; i < 16; i++) {
+    x[i] = s[i];
+  }
   for (int round = 0; round < 10; round++) {
     QuarterRound(x[0], x[4], x[8], x[12]);
     QuarterRound(x[1], x[5], x[9], x[13]);
@@ -62,15 +75,32 @@ void ChaCha20Block(const uint8_t key[32], const uint8_t nonce[12], uint32_t coun
     QuarterRound(x[3], x[4], x[9], x[14]);
   }
   for (int i = 0; i < 16; i++) {
-    uint32_t v = x[i] + state[i];
-    std::memcpy(out + 4 * i, &v, 4);
+    x[i] += s[i];
   }
+  std::memcpy(out->words, x, sizeof(x));
+}
+
+void ChaCha20Block(const uint8_t key[32], const uint8_t nonce[12], uint32_t counter,
+                   uint8_t out[64]) {
+  ChaCha20Lanes lanes = ChaCha20InputLanes();
+  for (int i = 0; i < 8; i++) {
+    lanes.words[4 + i][0] = LoadLe32(key + 4 * i);
+  }
+  lanes.words[12][0] = counter;
+  for (int i = 0; i < 3; i++) {
+    lanes.words[13 + i][0] = LoadLe32(nonce + 4 * i);
+  }
+  ChaCha20BlockLanes(lanes, &lanes);
+  StoreBlocks(lanes, 1, out);
 }
 
 ChaCha20Prg::ChaCha20Prg(const std::array<uint8_t, 32>& key, uint64_t stream_id) {
-  std::memcpy(key_, key.data(), 32);
-  std::memset(nonce_, 0, sizeof(nonce_));
-  std::memcpy(nonce_, &stream_id, 8);
+  for (int i = 0; i < 8; i++) {
+    key_[i] = LoadLe32(key.data() + 4 * i);
+  }
+  nonce_[0] = static_cast<uint32_t>(stream_id);
+  nonce_[1] = static_cast<uint32_t>(stream_id >> 32);
+  nonce_[2] = 0;
 }
 
 ChaCha20Prg ChaCha20Prg::FromSeed(uint64_t seed, uint64_t stream_id) {
@@ -82,17 +112,36 @@ ChaCha20Prg ChaCha20Prg::FromSeed(uint64_t seed, uint64_t stream_id) {
   return ChaCha20Prg(key, stream_id);
 }
 
-void ChaCha20Prg::Refill() {
-  ChaCha20Block(key_, nonce_, counter_, block_);
-  counter_++;
-  DSTRESS_CHECK(counter_ != 0);  // 256 GiB per stream is far beyond any run.
-  pos_ = 0;
+void ChaCha20Prg::NextBlocks(uint8_t* out, int blocks) {
+  // 256 GiB per stream is far beyond any run; never let the counter wrap.
+  DSTRESS_CHECK(counter_ + blocks <= (1ULL << 32));
+  ChaCha20Lanes lanes = ChaCha20InputLanes();
+  for (int l = 0; l < blocks; l++) {
+    for (int i = 0; i < 8; i++) {
+      lanes.words[4 + i][l] = key_[i];
+    }
+    lanes.words[12][l] = static_cast<uint32_t>(counter_ + l);
+    for (int i = 0; i < 3; i++) {
+      lanes.words[13 + i][l] = nonce_[i];
+    }
+  }
+  ChaCha20BlockLanes(lanes, &lanes);
+  StoreBlocks(lanes, blocks, out);
+  counter_ += blocks;
 }
 
 void ChaCha20Prg::Fill(uint8_t* out, size_t len) {
   while (len > 0) {
     if (pos_ == 64) {
-      Refill();
+      if (len >= 64) {
+        const int blocks = static_cast<int>(std::min<size_t>(len / 64, kChaCha20Lanes));
+        NextBlocks(out, blocks);
+        out += 64 * static_cast<size_t>(blocks);
+        len -= 64 * static_cast<size_t>(blocks);
+        continue;
+      }
+      NextBlocks(block_, 1);
+      pos_ = 0;
     }
     size_t take = 64 - pos_;
     if (take > len) {

@@ -47,15 +47,42 @@ U256 MulShift384(const U256& k, const U256& g) {
   return out;
 }
 
+// a*b mod n by folding: n = 2^256 - c with c < 2^129, so hi*2^256 + lo is
+// congruent to hi*c + lo; each fold shrinks the high half by ~127 bits, and
+// at most five folds and one subtraction reach [0, n). Equal to
+// ModMul(a, b, kN), whose bit-serial long division costs ~10 us per call.
+U256 MulModN(const U256& a, const U256& b) {
+  static const U256 kC = U256::FromHex("14551231950b75fc4402da1732fc9bebf");  // 2^256 - n
+  U512 t = MulFull(a, b);
+  for (;;) {
+    const U256 hi(t.w[4], t.w[5], t.w[6], t.w[7]);
+    if (hi.IsZero()) {
+      break;
+    }
+    const U512 folded = MulFull(hi, kC);
+    unsigned __int128 carry = 0;
+    for (int i = 0; i < 8; i++) {
+      carry += static_cast<unsigned __int128>(folded.w[i]) + (i < 4 ? t.w[i] : 0);
+      t.w[i] = static_cast<uint64_t>(carry);
+      carry >>= 64;
+    }
+  }
+  U256 r(t.w[0], t.w[1], t.w[2], t.w[3]);
+  while (Cmp(r, kN) >= 0) {
+    SubWithBorrow(r, kN, &r);
+  }
+  return r;
+}
+
 // Splits e (reduced mod n) into e = sign1*k1 + lambda*sign2*k2 with k1, k2
 // short (~128 bits).
 void SplitLambda(const U256& e, U256* k1, int* sign1, U256* k2, int* sign2) {
   U256 c1 = MulShift384(e, kG1);
   U256 c2 = MulShift384(e, kG2);
-  c1 = ModMul(c1, kMinusB1, kN);
-  c2 = ModMul(c2, kMinusB2, kN);
+  c1 = MulModN(c1, kMinusB1);
+  c2 = MulModN(c2, kMinusB2);
   U256 r2 = ModAdd(c1, c2, kN);
-  U256 r1 = ModAdd(e, ModMul(r2, kMinusLambda, kN), kN);
+  U256 r1 = ModAdd(e, MulModN(r2, kMinusLambda), kN);
   *sign1 = 1;
   *sign2 = 1;
   if (Cmp(r1, kHalfN) > 0) {
@@ -355,6 +382,18 @@ void EcPoint::CompressBatch(const EcPoint* points, size_t count, uint8_t* out) {
     Fp ay = p.y_ * zinv2 * zinv;
     slot[0] = ay.IsOdd() ? 0x03 : 0x02;
     ax.raw().ToBytesBe(slot + 1);
+  }
+}
+
+void EcPoint::CompressBatch(const AffinePoint* points, size_t count, uint8_t* out) {
+  for (size_t i = 0; i < count; i++) {
+    uint8_t* slot = out + i * kCompressedSize;
+    if (points[i].infinity) {
+      std::memset(slot, 0, kCompressedSize);
+      continue;
+    }
+    slot[0] = points[i].y.IsOdd() ? 0x03 : 0x02;
+    points[i].x.raw().ToBytesBe(slot + 1);
   }
 }
 

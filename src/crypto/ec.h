@@ -64,6 +64,9 @@ class EcPoint {
   // inversion (Montgomery's trick) — the serialization hot path for
   // subshare bundles, which carry (k+1)^2 * L points per transfer.
   static void CompressBatch(const EcPoint* points, size_t count, uint8_t* out);
+  // Same layout from batch-engine affine points (MulBatch's output): no
+  // field work at all, since the coordinates are already affine.
+  static void CompressBatch(const AffinePoint* points, size_t count, uint8_t* out);
 
   // Converts `count` points to affine with one shared field inversion —
   // feeds the batch-affine engine (table builds, burst decryption).

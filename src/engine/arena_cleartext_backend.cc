@@ -41,7 +41,9 @@ class ArenaCleartextBackend : public ExecutionBackend {
         config_(context.runtime_config),
         early_exit_(context.spec != nullptr && context.spec->cleartext_early_exit),
         update_circuit_(core::BuildUpdateCircuit(program_)),
-        contribution_circuit_(core::BuildAggregateCircuit(program_, 1, /*with_noise=*/false)) {
+        contribution_circuit_(core::BuildAggregateCircuit(program_, 1, /*with_noise=*/false)),
+        aggregation_ands_(core::AggregationAndGates(program_, graph_.num_vertices(),
+                                                    config_.aggregation_fanout)) {
     DSTRESS_CHECK(graph_.MaxDegree() <= program_.degree_bound);
     DSTRESS_CHECK(config_.aggregation_fanout != 1);
 
@@ -268,6 +270,9 @@ class ArenaCleartextBackend : public ExecutionBackend {
   circuit::Circuit contribution_circuit_;
   circuit::EvalPlan contribution_plan_{contribution_circuit_};
   std::unique_ptr<circuit::Circuit> noise_circuit_;
+  // The secure plane's aggregation AND total for one lane (its group
+  // circuits over the same core::AggregationShape).
+  size_t aggregation_ands_ = 0;
   std::unique_ptr<net::Transport> net_;
   std::unique_ptr<core::WorkerPool> pool_;
   // The width-1 (S = stride = 1) plane, allocated once and Reset per run;
@@ -353,12 +358,10 @@ std::vector<int64_t> ArenaCleartextBackend::Execute(
         AggregateFlat(*plane, num_scenarios, &results[static_cast<size_t>(chunk_lo)]);
       }
     });
-    m->aggregate_and_gates +=
-        contribution_circuit_.stats().num_and * static_cast<size_t>(n) * num_scenarios +
-        noise_circuit_->stats().num_and;
     m->iterations = std::max(m->iterations, static_cast<int>(plane->stats().iterations));
   }
 
+  m->aggregate_and_gates = aggregation_ands_ * static_cast<size_t>(total_scenarios);
   m->total_seconds = total.ElapsedSeconds();
   m->total_bytes = net_->TotalBytes() - bytes_before;
   m->avg_bytes_per_node = static_cast<double>(m->total_bytes) / n;

@@ -56,7 +56,7 @@ void PackLaneChunk(const std::vector<mpc::PackedShareMatrix>& lanes, int lo, int
       for (int s = 0; s < 64; s++) {
         block[s] = s < num_scenarios ? lanes[static_cast<size_t>(lo + s)].row(r)[w] : 0;
       }
-      mpc::TransposeBits64x64(block);
+      TransposeBits64x64(block);
       const size_t v0 = w * 64;
       const size_t count = std::min<size_t>(64, n - v0);
       for (size_t j = 0; j < count; j++) {
@@ -389,7 +389,7 @@ std::vector<uint64_t> GraphPlane::ScenarioSums(const mpc::PackedShareMatrix& con
     for (int b = 0; b < 64; b++) {
       block[b] = b < agg_bits ? contrib.row(static_cast<size_t>(b))[w] : 0;
     }
-    mpc::TransposeBits64x64(block);
+    TransposeBits64x64(block);
     uint64_t valid = valid_mask_[w];
     while (valid != 0) {
       const int bit = __builtin_ctzll(valid);

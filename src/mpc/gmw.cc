@@ -4,8 +4,6 @@
 
 namespace dstress::mpc {
 
-using ot::PackedWords;
-
 net::Channel GmwParty::MakeChannel(net::Transport* net, std::vector<net::NodeId> parties,
                                    int my_index, net::SessionId session) {
   DSTRESS_CHECK(my_index >= 0 && my_index < static_cast<int>(parties.size()));

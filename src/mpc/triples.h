@@ -4,23 +4,18 @@
 // engine consumes one triple per AND gate: parties open d = x^a and
 // e = y^b, then locally compute shares of x AND y.
 //
-// Two sources are provided:
-//
-//  * OtTripleSource — the real protocol. Every ordered pair of parties runs
-//    IKNP-extended random OTs to produce XOR shares of the cross terms
-//    a_i AND b_j; sessions are scheduled with a round-robin tournament so
-//    disjoint pairs run concurrently. This is what the paper's prototype
-//    does via the Choi et al. GMW implementation with OT extensions.
-//
-//  * DealerTripleSource — a simulated offline phase: all parties derive
-//    their shares deterministically from a shared dealer seed. This mode
-//    provides NO privacy (any party can recompute the dealer tape) and
-//    exists so that large benchmark sweeps can exercise the online phase at
-//    scale; see DESIGN.md §2.
+// Triples come from a TripleSource. The real protocol is the node-pair
+// IKNP TripleFactory (triple_factory.h), whose per-role views are
+// TripleSources; this header holds the interface, the pieces the factory
+// shares with the per-role IKNP reference in oracle/ot_triple_source.h
+// (PeerIknp, the pairing tournament, SliceTriples), and
+// DealerTripleSource — a simulated offline phase: all parties derive
+// their shares deterministically from a shared dealer seed. That mode
+// provides NO privacy (any party can recompute the dealer tape) and exists
+// so that large benchmark sweeps can exercise the online phase at scale.
 #ifndef SRC_MPC_TRIPLES_H_
 #define SRC_MPC_TRIPLES_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -30,7 +25,6 @@
 
 namespace dstress::mpc {
 
-using ot::PackedBits;
 
 struct BitTriples {
   PackedBits a;
@@ -62,7 +56,8 @@ PackedBits RandomPacked(crypto::ChaCha20Prg& prg, size_t words);
 // Circle-method tournament over n players: rounds 0 .. TournamentRounds(n)-1
 // enumerate all unordered pairs, one perfect matching per round (a bye pads
 // odd n). TournamentPeer returns the player `me` meets in `round`, or -1
-// for its bye. Shared by OtTripleSource and the node-pair TripleFactory.
+// for its bye. Shared by the node-pair TripleFactory and the per-role
+// oracle::OtTripleSource.
 int TournamentRounds(int n);
 int TournamentPeer(int n, int me, int round);
 
@@ -92,28 +87,6 @@ class DealerTripleSource : public TripleSource {
   // source's differently-seeded streams (the old per-bit advance perturbed
   // the seed itself, which adjacent sources could alias).
   uint64_t calls_ = 0;
-};
-
-class OtTripleSource : public TripleSource {
- public:
-  // `parties` are the transport node ids of the group, `my_index` is this
-  // party's position in that list. Base-OT setup with every peer happens
-  // lazily on the first Generate call.
-  OtTripleSource(net::Transport* net, std::vector<net::NodeId> parties, int my_index,
-                 crypto::ChaCha20Prg prg, net::SessionId session = 0);
-
-  BitTriples Generate(size_t count) override;
-
- private:
-  void EnsureSetup();
-
-  net::Transport* net_;
-  std::vector<net::NodeId> parties_;
-  int my_index_;
-  crypto::ChaCha20Prg prg_;
-  net::SessionId session_;
-  bool setup_done_ = false;
-  std::map<int, std::unique_ptr<PeerIknp>> sessions_;  // keyed by peer index
 };
 
 }  // namespace dstress::mpc

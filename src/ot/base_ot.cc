@@ -5,6 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/crypto/ec.h"
+#include "src/crypto/fixed_base.h"
 #include "src/crypto/sha256.h"
 
 namespace dstress::ot {
@@ -15,13 +16,12 @@ using crypto::EcPoint;
 
 std::atomic<uint64_t> g_base_ot_executions{0};
 
-OtKey DeriveKey(uint32_t index, const EcPoint& point) {
+OtKey DeriveKey(uint32_t index, const uint8_t compressed[EcPoint::kCompressedSize]) {
   crypto::Sha256 h;
   uint8_t idx[4];
   std::memcpy(idx, &index, 4);
   h.Update(idx, 4);
-  auto compressed = point.Compress();
-  h.Update(compressed.data(), compressed.size());
+  h.Update(compressed, EcPoint::kCompressedSize);
   auto digest = h.Finish();
   OtKey key;
   std::memcpy(key.data(), digest.data(), key.size());
@@ -36,6 +36,7 @@ BaseOtSenderOutput BaseOtSend(net::Transport* net, net::NodeId self, net::NodeId
                               crypto::ChaCha20Prg& prg, net::SessionId session) {
   using crypto::CurveOrder;
   using crypto::MulBase;
+  constexpr size_t kPoint = EcPoint::kCompressedSize;
   g_base_ot_executions.fetch_add(1, std::memory_order_relaxed);
 
   crypto::U256 a = prg.NextScalar(CurveOrder());
@@ -47,19 +48,27 @@ BaseOtSenderOutput BaseOtSend(net::Transport* net, net::NodeId self, net::NodeId
   net->Send(self, peer, announce.Take(), session);
 
   Bytes reply = net->Recv(self, peer, session);
-  DSTRESS_CHECK(reply.size() == static_cast<size_t>(count) * EcPoint::kCompressedSize);
+  DSTRESS_CHECK(reply.size() == static_cast<size_t>(count) * kPoint);
+  std::vector<EcPoint> b_points(count);
+  DSTRESS_CHECK(EcPoint::DecompressBatch(reply.data(), count, b_points.data()));
+
+  // a*(B_i - A) = a*B_i - a*A: one shared a*A instead of a second
+  // multiplication per transfer. Products interleave (a*B_i, a*(B_i - A)).
+  const EcPoint neg_aa = big_a.Mul(a).Neg();
+  std::vector<EcPoint> products(2 * static_cast<size_t>(count));
+  for (int i = 0; i < count; i++) {
+    products[2 * i] = b_points[i].Mul(a);
+    products[2 * i + 1] = products[2 * i].Add(neg_aa);
+  }
+  std::vector<uint8_t> compressed(products.size() * kPoint);
+  EcPoint::CompressBatch(products.data(), products.size(), compressed.data());
 
   BaseOtSenderOutput out;
   out.keys0.reserve(count);
   out.keys1.reserve(count);
-  EcPoint neg_a = big_a.Neg();
   for (int i = 0; i < count; i++) {
-    auto b_point = EcPoint::Decompress(reply.data() + static_cast<size_t>(i) * 33);
-    DSTRESS_CHECK(b_point.has_value());
-    EcPoint p0 = b_point->Mul(a);
-    EcPoint p1 = b_point->Add(neg_a).Mul(a);
-    out.keys0.push_back(DeriveKey(static_cast<uint32_t>(i), p0));
-    out.keys1.push_back(DeriveKey(static_cast<uint32_t>(i), p1));
+    out.keys0.push_back(DeriveKey(static_cast<uint32_t>(i), &compressed[(2 * i) * kPoint]));
+    out.keys1.push_back(DeriveKey(static_cast<uint32_t>(i), &compressed[(2 * i + 1) * kPoint]));
   }
   return out;
 }
@@ -69,32 +78,46 @@ BaseOtReceiverOutput BaseOtRecv(net::Transport* net, net::NodeId self, net::Node
                                 net::SessionId session) {
   using crypto::CurveOrder;
   using crypto::MulBase;
+  constexpr size_t kPoint = EcPoint::kCompressedSize;
   g_base_ot_executions.fetch_add(1, std::memory_order_relaxed);
+  const size_t count = choices.size();
 
   Bytes announce = net->Recv(self, peer, session);
-  DSTRESS_CHECK(announce.size() == EcPoint::kCompressedSize);
+  DSTRESS_CHECK(announce.size() == kPoint);
   auto big_a = EcPoint::Decompress(announce.data());
   DSTRESS_CHECK(big_a.has_value());
 
-  ByteWriter reply;
-  std::vector<crypto::U256> secrets;
-  secrets.reserve(choices.size());
-  for (bool choice : choices) {
-    crypto::U256 b = prg.NextScalar(CurveOrder());
-    secrets.push_back(b);
-    EcPoint point = MulBase(b);
-    if (choice) {
-      point = point.Add(*big_a);
+  std::vector<crypto::U256> secrets(count);
+  std::vector<EcPoint> points(count);
+  for (size_t i = 0; i < count; i++) {
+    secrets[i] = prg.NextScalar(CurveOrder());
+    points[i] = MulBase(secrets[i]);
+    if (choices[i]) {
+      points[i] = points[i].Add(*big_a);
     }
-    auto compressed = point.Compress();
-    reply.Raw(compressed.data(), compressed.size());
   }
-  net->Send(self, peer, reply.Take(), session);
+  Bytes reply(count * kPoint);
+  EcPoint::CompressBatch(points.data(), count, reply.data());
+  net->Send(self, peer, std::move(reply), session);
+
+  // Every b_i*A against one fixed-base table for A, in batch-affine
+  // lockstep.
+  const crypto::FixedBaseTable table(*big_a);
+  std::vector<crypto::FixedBaseTable::Recoding> recodings(count);
+  std::vector<crypto::MulTask> tasks(count);
+  for (size_t i = 0; i < count; i++) {
+    recodings[i] = crypto::FixedBaseTable::Recode(secrets[i]);
+    tasks[i] = {&table, &recodings[i]};
+  }
+  std::vector<crypto::AffinePoint> shared(count);
+  crypto::MulBatch(tasks.data(), count, shared.data());
+  std::vector<uint8_t> compressed(count * kPoint);
+  EcPoint::CompressBatch(shared.data(), count, compressed.data());
 
   BaseOtReceiverOutput out;
-  out.keys.reserve(choices.size());
-  for (size_t i = 0; i < choices.size(); i++) {
-    out.keys.push_back(DeriveKey(static_cast<uint32_t>(i), big_a->Mul(secrets[i])));
+  out.keys.reserve(count);
+  for (size_t i = 0; i < count; i++) {
+    out.keys.push_back(DeriveKey(static_cast<uint32_t>(i), &compressed[i * kPoint]));
   }
   return out;
 }

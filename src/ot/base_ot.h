@@ -4,9 +4,19 @@
 // The sender publishes A = a*G; for the i-th transfer the receiver replies
 // with B_i = b_i*G (choice 0) or A + b_i*G (choice 1). The sender derives
 //   k_i^0 = H(i, a*B_i)        k_i^1 = H(i, a*(B_i - A))
-// and the receiver derives k_i^{c_i} = H(i, b_i*A). These 128-bit keys seed
-// the IKNP OT extension (iknp.h); DStress's HbC threat model (paper §3.2)
-// matches the HbC security of this construction.
+// and the receiver derives k_i^{c_i} = H(i, b_i*A), with H = SHA-256 over
+// (i, compressed point) truncated to 128 bits. These keys seed the IKNP OT
+// extension (iknp.h); DStress's HbC threat model (paper §3.2) matches the
+// HbC security of this construction.
+//
+// A batch of `count` transfers shares its EC work: the sender computes
+// a*(B_i - A) as a*B_i - a*A with one shared a*A (one multiplication per
+// transfer, not two), decompresses the replies and compresses every key
+// point with one shared field inversion; the receiver computes every b_i*A
+// against one crypto::FixedBaseTable for A with crypto::MulBatch, whose
+// window levels share one inversion across the batch. The keys are the
+// same group elements either way, so they are bit-identical to the
+// per-transfer formulas above.
 #ifndef SRC_OT_BASE_OT_H_
 #define SRC_OT_BASE_OT_H_
 

@@ -1,9 +1,21 @@
 // IKNP oblivious-transfer extension (Ishai–Kilian–Nissim–Petrank 2003).
 //
 // Turns kappa = 128 base OTs (base_ot.h) into an unbounded stream of cheap
-// random OTs on single bits using only symmetric crypto (ChaCha20 PRG +
-// SHA-256 hashing). The paper notes that Wysteria's GMW backend relies on
+// random OTs on single bits using only symmetric crypto: ChaCha20 PRGs
+// expand the base-OT keys into the 128 columns, 64x64 block transposes turn
+// columns into per-OT rows, and a fixed-permutation hash maps each row to
+// its output bit. The paper notes that Wysteria's GMW backend relies on
 // exactly this optimization to keep MPC traffic low (§5.3, [41, 46]).
+//
+// The hash is H(j, x) = bit 0 of pi(s) + s, where s is a ChaCha20 input
+// state carrying the 128-bit row x and the OT index j in its key words and
+// a domain tag in its nonce words, pi is ChaCha20's fixed 20-round
+// permutation, and + is the RFC 8439 block function's word-wise
+// feed-forward. IKNP needs only a correlation-robust hash, and a fixed
+// permutation with a feed-forward gives one (Asharov-Lindell-Schneider-
+// Zohner, CCS 2013; Guo-Katz-Wang-Yu, S&P 2020); docs/offline-phase.md
+// states the assumption. Rows are hashed kChaCha20Lanes at a time through
+// the ChaCha20 lane kernel.
 //
 // Roles are named from the *extension* point of view: the extension sender
 // obtains random bit pairs (r0_j, r1_j); the extension receiver chooses c_j
@@ -17,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/bits.h"
 #include "src/crypto/chacha20.h"
 #include "src/net/transport.h"
 #include "src/ot/base_ot.h"
@@ -24,18 +37,6 @@
 namespace dstress::ot {
 
 inline constexpr int kIknpKappa = 128;
-
-// Packed bit vector helpers shared by the MPC layer.
-using PackedBits = std::vector<uint64_t>;
-inline size_t PackedWords(size_t bits) { return (bits + 63) / 64; }
-inline bool GetBit(const PackedBits& v, size_t i) { return (v[i / 64] >> (i % 64)) & 1; }
-inline void SetBit(PackedBits& v, size_t i, bool bit) {
-  if (bit) {
-    v[i / 64] |= 1ULL << (i % 64);
-  } else {
-    v[i / 64] &= ~(1ULL << (i % 64));
-  }
-}
 
 struct RandomOtPairs {
   PackedBits r0;
@@ -64,7 +65,7 @@ class IknpSender {
   net::NodeId self_;
   net::NodeId peer_;
   net::SessionId session_;
-  PackedBits s_bits_;                         // kappa choice bits
+  uint64_t s_bits_[2] = {0, 0};               // kappa choice bits
   std::vector<crypto::ChaCha20Prg> seed_prg_;  // PRG(k_i^{s_i})
   uint64_t ot_counter_ = 0;
 };

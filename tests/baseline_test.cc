@@ -1,10 +1,10 @@
-#include "src/baseline/naive_mpc.h"
+#include "oracle/naive_mpc.h"
 
 #include <gtest/gtest.h>
 
 #include "src/mpc/sharing.h"
 
-namespace dstress::baseline {
+namespace dstress::oracle {
 namespace {
 
 TEST(NaiveMpcTest, MatMulCircuitMatchesNative) {
@@ -82,4 +82,4 @@ TEST(NaiveMpcTest, ExtrapolationScalesWithPower) {
 }
 
 }  // namespace
-}  // namespace dstress::baseline
+}  // namespace dstress::oracle

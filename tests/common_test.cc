@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "src/common/bits.h"
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
@@ -149,6 +151,56 @@ TEST(RngTest, TwoSidedGeometricSymmetry) {
   EXPECT_NEAR(sum / kTrials, 0.0, 0.1);
   // P(0) = (1-a)/(1+a) ~ 0.176.
   EXPECT_NEAR(static_cast<double>(zeros) / kTrials, (1 - kAlpha) / (1 + kAlpha), 0.02);
+}
+
+// CopyBits/XorBits against a per-bit reference at every (source, dest)
+// alignment pair, for counts that stay inside a word, fill one exactly,
+// straddle one and span several; bits outside the destination range must
+// not move.
+TEST(BitsTest, WordLevelRangeCopyMatchesPerBitReference) {
+  constexpr size_t kWords = 6;
+  Rng rng(91);
+  PackedBits src(kWords), base(kWords);
+  for (size_t w = 0; w < kWords; w++) {
+    src[w] = rng.Next();
+    base[w] = rng.Next();
+  }
+  for (size_t src_off = 0; src_off < 64; src_off++) {
+    for (size_t dst_off = 0; dst_off < 64; dst_off++) {
+      for (size_t count : {0, 1, 2, 31, 63, 64, 65, 127, 128, 129, 200, 256}) {
+        PackedBits copy = base, xored = base;
+        CopyBits(copy.data(), dst_off, src.data(), src_off, count);
+        XorBits(xored.data(), dst_off, src.data(), src_off, count);
+        PackedBits want_copy = base, want_xor = base;
+        for (size_t i = 0; i < count; i++) {
+          SetBit(want_copy, dst_off + i, GetBit(src, src_off + i));
+          SetBit(want_xor, dst_off + i, GetBit(base, dst_off + i) != GetBit(src, src_off + i));
+        }
+        ASSERT_EQ(copy, want_copy) << "src_off " << src_off << " dst_off " << dst_off << " count "
+                                   << count;
+        ASSERT_EQ(xored, want_xor) << "src_off " << src_off << " dst_off " << dst_off
+                                   << " count " << count;
+      }
+    }
+  }
+}
+
+// The transpose maps bit c of word r to bit r of word c, and is its own
+// inverse.
+TEST(BitsTest, Transpose64x64MovesEveryBit) {
+  Rng rng(92);
+  uint64_t x[64], t[64];
+  for (int r = 0; r < 64; r++) {
+    x[r] = t[r] = rng.Next();
+  }
+  TransposeBits64x64(t);
+  for (int r = 0; r < 64; r++) {
+    for (int c = 0; c < 64; c++) {
+      ASSERT_EQ((t[c] >> r) & 1, (x[r] >> c) & 1) << r << "," << c;
+    }
+  }
+  TransposeBits64x64(t);
+  EXPECT_TRUE(std::equal(t, t + 64, x));
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

@@ -221,6 +221,20 @@ size_t ShapeAndGates(const VertexProgram& program, int n, int fanout) {
   return total;
 }
 
+// AggregationAndGates builds groups of up to aggregate_bits + 4 children
+// (28 here) and extrapolates wider ones; it must equal the exact circuit
+// builds, flat and as a tree with wide groups, around and well past that
+// size.
+TEST(RuntimeTest, AggregationAndGatesMatchesExactBuilds) {
+  VertexProgram program = MakeSumProgram(1, 2, 1e-12);
+  for (int n : {1, 7, 27, 28, 29, 40, 97}) {
+    for (int fanout : {0, 2, 30}) {
+      EXPECT_EQ(AggregationAndGates(program, n, fanout), ShapeAndGates(program, n, fanout))
+          << "n " << n << " fanout " << fanout;
+    }
+  }
+}
+
 // Every Beaver triple of a dealer run is accounted for: each of the k+1
 // members draws update_and_gates per vertex per computation step and
 // num_and per aggregation group, and aggregate_and_gates counts every

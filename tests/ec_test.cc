@@ -179,6 +179,55 @@ TEST(EcTest, CompressBatchMatchesIndividual) {
   }
 }
 
+// The affine overload writes the same encodings as compressing the
+// Jacobian points, infinity included.
+TEST(EcTest, CompressBatchOfAffinePointsMatchesJacobian) {
+  auto prg = ChaCha20Prg::FromSeed(13);
+  std::vector<EcPoint> points;
+  for (int i = 0; i < 9; i++) {
+    points.push_back(RandomPoint(prg).Double());
+  }
+  points.push_back(EcPoint::Infinity());
+  std::vector<AffinePoint> affine(points.size());
+  EcPoint::ToAffineBatch(points.data(), points.size(), affine.data());
+  std::vector<uint8_t> from_jacobian(points.size() * EcPoint::kCompressedSize);
+  std::vector<uint8_t> from_affine(points.size() * EcPoint::kCompressedSize);
+  EcPoint::CompressBatch(points.data(), points.size(), from_jacobian.data());
+  EcPoint::CompressBatch(affine.data(), affine.size(), from_affine.data());
+  EXPECT_EQ(from_affine, from_jacobian);
+}
+
+// The GLV split reconstructs its scalar: e = sign1*k1 + lambda*sign2*k2
+// (mod n) with both halves short, checked with the generic bit-serial
+// ModMul on random scalars and on the edges of [0, n).
+TEST(EcTest, GlvSplitReconstructsScalar) {
+  const U256& n = CurveOrder();
+  const U256 lambda = U256::FromHex(
+      "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");
+  auto prg = ChaCha20Prg::FromSeed(14);
+  std::vector<U256> scalars = {U256::Zero(), U256::One(), U256(2), lambda};
+  U256 n_minus_1;
+  SubWithBorrow(n, U256::One(), &n_minus_1);
+  scalars.push_back(n_minus_1);
+  for (int i = 0; i < 200; i++) {
+    U256 e = prg.NextU256();
+    while (Cmp(e, n) >= 0) {
+      SubWithBorrow(e, n, &e);
+    }
+    scalars.push_back(e);
+  }
+  for (const U256& e : scalars) {
+    U256 k1, k2;
+    int sign1 = 0, sign2 = 0;
+    SplitScalarGlv(e, &k1, &sign1, &k2, &sign2);
+    EXPECT_LE(k1.BitLength(), 128);
+    EXPECT_LE(k2.BitLength(), 128);
+    U256 term1 = sign1 > 0 ? k1 : ModSub(U256::Zero(), k1, n);
+    U256 term2 = ModMul(lambda, sign2 > 0 ? k2 : ModSub(U256::Zero(), k2, n), n);
+    EXPECT_EQ(ModAdd(term1, term2, n), e) << e.ToHex();
+  }
+}
+
 TEST(EcTest, EqualityAcrossRepresentations) {
   // The same point reached via different operation orders has different
   // Jacobian coordinates but must compare equal.

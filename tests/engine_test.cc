@@ -250,6 +250,28 @@ TEST(EngineCleartextModeTest, AgreesWithSecureModeOnSameSpec) {
   EXPECT_LT(cleartext.metrics.total_bytes, secure.metrics.total_bytes / 100);
 }
 
+// Both planes report the AND gates of the same aggregation: every group
+// circuit of core::AggregationShape, per lane, flat and as trees.
+TEST(EngineCleartextModeTest, AggregateAndGatesMatchSecurePlane) {
+  for (int fanout : {0, 2, 3}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    RunSpec spec;
+    spec.topology = CorePeripheryTopology(9, 3);
+    spec.model = ContagionModel::kEisenbergNoe;
+    spec.shock.shocked_banks = {1};
+    spec.iterations = 1;
+    spec.block_size = 2;
+    spec.seed = 12;
+    spec.aggregation_fanout = fanout;
+    spec.mode = ExecutionMode::kSecure;
+    const size_t secure = Engine(spec).Run().metrics.aggregate_and_gates;
+    spec.mode = ExecutionMode::kCleartextFast;
+    const size_t cleartext = Engine(spec).Run().metrics.aggregate_and_gates;
+    EXPECT_GT(secure, 0u);
+    EXPECT_EQ(cleartext, secure);
+  }
+}
+
 // The cleartext gather mirrors the secure §3.6 aggregation tree when a
 // fanout is set: the released figure is unchanged (word sums are
 // associative) while the root stops funneling every state — with N=24 and

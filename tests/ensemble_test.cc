@@ -379,6 +379,15 @@ TEST(EnsembleSecureTest, WidthThreeTrafficIsSumOfSoloRuns) {
                 (m.update_and_gates * n * lanes * (m.iterations + 1) + m.aggregate_and_gates));
 }
 
+// The cleartext plane reports the secure plane's aggregation AND gates for
+// a multi-lane run too: every lane's group circuits, noise included.
+TEST(EnsembleSecureTest, CleartextAggregateAndGatesMatchSecure) {
+  RunSpec spec = WithExplicitScenarios(SecureBase(8, 2), {{0}, {1, 2}, {3}});
+  const size_t secure = Engine(spec).RunEnsemble().metrics.aggregate_and_gates;
+  spec.mode = ExecutionMode::kCleartextFast;
+  EXPECT_EQ(Engine(spec).RunEnsemble().metrics.aggregate_and_gates, secure);
+}
+
 TEST(EnsembleSecureGoldenTest, DealerWidthThree) {
   ExpectSecureEnsembleMatchesGolden(
       WithExplicitScenarios(SecureBase(8, 2), {{0}, {1, 2}, {3}}), "secure dealer W=3");

@@ -2,6 +2,7 @@
 
 #include <thread>
 
+#include "oracle/ot_triple_source.h"
 #include "src/circuit/builder.h"
 #include "src/mpc/gmw.h"
 #include "src/net/sim_network.h"
@@ -69,9 +70,9 @@ void CheckTriples(const std::vector<BitTriples>& shares, size_t count) {
   for (size_t t = 0; t < count; t++) {
     int a = 0, b = 0, c = 0;
     for (const auto& share : shares) {
-      a ^= ot::GetBit(share.a, t) ? 1 : 0;
-      b ^= ot::GetBit(share.b, t) ? 1 : 0;
-      c ^= ot::GetBit(share.c, t) ? 1 : 0;
+      a ^= GetBit(share.a, t) ? 1 : 0;
+      b ^= GetBit(share.b, t) ? 1 : 0;
+      c ^= GetBit(share.c, t) ? 1 : 0;
     }
     ASSERT_EQ(c, a & b) << "triple " << t;
   }
@@ -134,10 +135,10 @@ TEST_P(DealerTripleTest, InterleavedBatchSizesStayAligned) {
       acc.b.resize((acc.count + 63) / 64, 0);
       acc.c.resize((acc.count + 63) / 64, 0);
       for (size_t t = 0; t < batch; t++) {
-        ot::SetBit(acc.a, old + t, ot::GetBit(shares[p].a, t));
-        ot::SetBit(acc.b, old + t, ot::GetBit(shares[p].b, t));
+        SetBit(acc.a, old + t, GetBit(shares[p].a, t));
+        SetBit(acc.b, old + t, GetBit(shares[p].b, t));
         if (!shares[p].c.empty()) {
-          ot::SetBit(acc.c, old + t, ot::GetBit(shares[p].c, t));
+          SetBit(acc.c, old + t, GetBit(shares[p].c, t));
         }
       }
     }
@@ -193,7 +194,7 @@ TEST_P(OtTripleTest, TriplesAreValid) {
   std::vector<std::thread> threads;
   for (int p = 0; p < parties; p++) {
     threads.emplace_back([&, p] {
-      OtTripleSource source(&net, ids, p, crypto::ChaCha20Prg::FromSeed(100 + p));
+      oracle::OtTripleSource source(&net, ids, p, crypto::ChaCha20Prg::FromSeed(100 + p));
       shares[p] = source.Generate(kCount);
     });
   }
@@ -275,7 +276,7 @@ TEST(GmwTest, MatchesPlaintextEvalWithOtTriples) {
   for (int p = 0; p < kParties; p++) {
     threads.emplace_back([&, p] {
       std::vector<net::NodeId> ids = {0, 1, 2};
-      OtTripleSource triples(&net, ids, p, crypto::ChaCha20Prg::FromSeed(200 + p));
+      oracle::OtTripleSource triples(&net, ids, p, crypto::ChaCha20Prg::FromSeed(200 + p));
       GmwParty party(&net, ids, p, &triples);
       outputs[p] = party.Eval(c, shares[p]);
     });
